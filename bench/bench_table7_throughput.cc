@@ -191,15 +191,19 @@ int main(int argc, char** argv) {
     std::printf("end-to-end: %s queries/s (%zu queries)\n\n",
                 FormatQps(qps).c_str(), answered);
 
+    // Drain first, so every answered query's stages are recorded; each
+    // stage family is then merged over the models served.
+    server.value()->Shutdown();
+    server.value()->Wait();
+    const karl::telemetry::RegistrySnapshot snapshot = registry.Snapshot();
     karl::bench::PrintTableHeader({"stage", "p50_us", "p95_us"});
     for (const char* stage :
          {"read", "parse", "queue_wait", "coalesce_wait", "eval",
           "serialize", "write", "total"}) {
-      const auto h =
-          registry
-              .GetRollingHistogram(std::string("karl_server_") + stage +
-                                   "_us")
-              ->CumulativeSnapshot();
+      const karl::telemetry::HistogramSnapshot h =
+          karl::telemetry::FamilyTotal(
+              snapshot.rolling, std::string("karl_server_") + stage + "_us")
+              .cumulative;
       const double p50 = h.Quantile(0.5);
       const double p95 = h.Quantile(0.95);
       karl::bench::RecordBenchMetric(
@@ -212,8 +216,6 @@ int main(int argc, char** argv) {
       std::snprintf(p95_text, sizeof(p95_text), "%.1f", p95);
       karl::bench::PrintTableRow({stage, p50_text, p95_text});
     }
-    server.value()->Shutdown();
-    server.value()->Wait();
   }
 
   return 0;

@@ -13,19 +13,18 @@ namespace karl::core {
 
 void BatchEvaluator::ResolveInstruments(telemetry::Registry* registry) {
   if (registry == nullptr) return;
-  instruments_.batches = registry->GetCounter("karl_batch_batches_total");
-  instruments_.queries = registry->GetCounter("karl_batch_queries_total");
-  instruments_.batch_usec = registry->GetHistogram("karl_batch_usec");
-  instruments_.executors = registry->GetGauge("karl_batch_executors");
+  // One series per batch event: the model's labeled series when the
+  // caller names one, the unlabeled series for model-less library use.
+  telemetry::LabelSet labels;
   if (!options_.metric_model.empty()) {
-    const telemetry::LabelSet labels{{"model", options_.metric_model}};
-    instruments_.model_batches =
-        registry->GetCounter("karl_batch_batches_total", labels);
-    instruments_.model_queries =
-        registry->GetCounter("karl_batch_queries_total", labels);
-    instruments_.model_batch_usec =
-        registry->GetHistogram("karl_batch_usec", labels);
+    labels.Set("model", options_.metric_model);
   }
+  instruments_.batches = registry->GetCounter("karl_batch_batches_total",
+                                              labels);
+  instruments_.queries = registry->GetCounter("karl_batch_queries_total",
+                                              labels);
+  instruments_.batch_usec = registry->GetHistogram("karl_batch_usec", labels);
+  instruments_.executors = registry->GetGauge("karl_batch_executors");
 }
 
 BatchEvaluator::BatchEvaluator(const Engine& engine,
@@ -110,11 +109,6 @@ std::vector<T> BatchEvaluator::Run(const data::Matrix& queries,
     instruments_.queries->Add(n);
     instruments_.batch_usec->Record(usec);
     instruments_.executors->Set(static_cast<double>(executors));
-    if (instruments_.model_batches != nullptr) {
-      instruments_.model_batches->Increment();
-      instruments_.model_queries->Add(n);
-      instruments_.model_batch_usec->Record(usec);
-    }
   }
   return out;
 }

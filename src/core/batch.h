@@ -59,10 +59,10 @@ struct BatchOptions {
   std::function<void(size_t row, uint64_t begin_us, uint64_t end_us,
                      const EvalStats& stats)>
       row_observer;
-  /// When non-empty, the batch metrics additionally record into their
-  /// `{model="<metric_model>"}` labeled series, so a multi-model server
-  /// can attribute evaluator work per model. The unlabeled totals keep
-  /// recording either way.
+  /// When non-empty, the batch metrics record into their
+  /// `{model="<metric_model>"}` labeled series instead of the unlabeled
+  /// ones, so a multi-model server attributes evaluator work per model
+  /// (a total sums the family; telemetry::FamilyTotal).
   std::string metric_model;
 };
 
@@ -99,16 +99,13 @@ class BatchEvaluator {
   std::vector<T> Run(const data::Matrix& queries, EvalStats* stats,
                      const PerQuery& per_query) const;
 
-  // Batch-level metric handles; null when the engine has no registry.
-  // The labeled twins are null unless BatchOptions::metric_model is set.
+  // Batch-level metric handles (labeled by BatchOptions::metric_model
+  // when set); null when the engine has no registry.
   struct Instruments {
     telemetry::Counter* batches = nullptr;
     telemetry::Counter* queries = nullptr;
     telemetry::Histogram* batch_usec = nullptr;
     telemetry::Gauge* executors = nullptr;
-    telemetry::Counter* model_batches = nullptr;
-    telemetry::Counter* model_queries = nullptr;
-    telemetry::Histogram* model_batch_usec = nullptr;
   };
 
   void ResolveInstruments(telemetry::Registry* registry);

@@ -203,11 +203,8 @@ util::Result<ModelHandle> ModelRegistry::LoadEntry(const std::string& name,
   entry->generation = reloads_total_;
   if (options_.metrics != nullptr) {
     const telemetry::LabelSet labels{{"model", name}};
-    options_.metrics->GetCounter("karl_model_loads_total")->Increment();
     options_.metrics->GetCounter("karl_model_loads_total", labels)
         ->Increment();
-    options_.metrics->GetHistogram("karl_model_coldstart_us")
-        ->Record(static_cast<double>(model->coldstart_us_));
     options_.metrics->GetHistogram("karl_model_coldstart_us", labels)
         ->Record(static_cast<double>(model->coldstart_us_));
   }
@@ -244,8 +241,6 @@ void ModelRegistry::EnforceBudget() {
     ++entry.evictions;
     ++evictions_total_;
     if (options_.metrics != nullptr) {
-      options_.metrics->GetCounter("karl_model_evictions_total")
-          ->Increment();
       options_.metrics
           ->GetCounter("karl_model_evictions_total",
                        telemetry::LabelSet{{"model", victim->first}})
@@ -274,6 +269,7 @@ util::Status ModelRegistry::Reload() {
     if (it->second.from_scan && found.find(it->first) == found.end()) {
       util::Log(options_.logger, util::LogLevel::kInfo, "model_gone",
                 {{"model", it->first}});
+      SetResidentGauge(it->first, 0.0);
       it = models_.erase(it);
     } else {
       ++it;
@@ -399,21 +395,23 @@ uint64_t ModelRegistry::ResidentBytesLocked() const {
   return total;
 }
 
-void ModelRegistry::UpdateResidentGauge() {
+void ModelRegistry::SetResidentGauge(const std::string& name, double bytes) {
   if (options_.metrics == nullptr) return;
-  options_.metrics->GetGauge("karl_model_resident_bytes")
-      ->Set(static_cast<double>(ResidentBytesLocked()));
-  // Per-model residency: evicted/unloaded models report 0 rather than
-  // disappearing, so scrapers see the release.
+  options_.metrics
+      ->GetGauge("karl_model_resident_bytes",
+                 telemetry::LabelSet{{"model", name}})
+      ->Set(bytes);
+}
+
+void ModelRegistry::UpdateResidentGauge() {
+  // Per-model residency (the family sums to resident_bytes()):
+  // evicted/unloaded models report 0 rather than disappearing, so
+  // scrapers see the release.
   for (const auto& [name, entry] : models_) {
-    const double bytes =
-        entry.loaded != nullptr
-            ? static_cast<double>(entry.loaded->resident_bytes())
-            : 0.0;
-    options_.metrics
-        ->GetGauge("karl_model_resident_bytes",
-                   telemetry::LabelSet{{"model", name}})
-        ->Set(bytes);
+    SetResidentGauge(name,
+                     entry.loaded != nullptr
+                         ? static_cast<double>(entry.loaded->resident_bytes())
+                         : 0.0);
   }
 }
 

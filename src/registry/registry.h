@@ -185,6 +185,9 @@ class ModelRegistry {
 
   uint64_t ResidentBytesLocked() const KARL_REQUIRES(mu_);
   void UpdateResidentGauge() KARL_REQUIRES(mu_);
+  // Sets `name`'s karl_model_resident_bytes series (no-op without
+  // metrics).
+  void SetResidentGauge(const std::string& name, double bytes);
 
   const std::string model_dir_;
   const RegistryOptions options_;

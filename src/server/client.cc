@@ -102,8 +102,10 @@ util::Status Client::SendLine(const std::string& line) {
   if (framed.empty() || framed.back() != '\n') framed.push_back('\n');
   size_t sent = 0;
   while (sent < framed.size()) {
-    const ssize_t n =
-        ::write(fd_, framed.data() + sent, framed.size() - sent);
+    // MSG_NOSIGNAL: a server that hung up is an error Status, not a
+    // SIGPIPE that kills the caller.
+    const ssize_t n = ::send(fd_, framed.data() + sent,
+                             framed.size() - sent, MSG_NOSIGNAL);
     if (n > 0) {
       sent += static_cast<size_t>(n);
       continue;
@@ -269,28 +271,6 @@ util::Result<std::string> Client::Health() {
     return util::Status::IOError("malformed \"status\" in server response");
   }
   return status.value()->string_value();
-}
-
-util::Result<std::string> Client::Metrics() {
-  auto response = Call(Json::Object().Set("op", Json::Str("metrics")));
-  if (!response.ok()) return response.status();
-  auto metrics = Field(response.value(), "metrics");
-  if (!metrics.ok()) return metrics.status();
-  if (!metrics.value()->is_string()) {
-    return util::Status::IOError("malformed \"metrics\" in server response");
-  }
-  return metrics.value()->string_value();
-}
-
-util::Result<std::string> Client::Statusz() {
-  auto response = Call(Json::Object().Set("op", Json::Str("statusz")));
-  if (!response.ok()) return response.status();
-  auto statusz = Field(response.value(), "statusz");
-  if (!statusz.ok()) return statusz.status();
-  if (!statusz.value()->is_object()) {
-    return util::Status::IOError("malformed \"statusz\" in server response");
-  }
-  return statusz.value()->Dump();
 }
 
 }  // namespace karl::server

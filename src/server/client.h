@@ -51,15 +51,10 @@ class Client {
                                               double eps);
   util::Result<std::vector<double>> ExactBatch(const data::Matrix& queries);
 
-  /// Server status string ("serving" or "draining").
+  /// Server status string ("serving" or "draining"). Metrics and status
+  /// documents are not on this protocol: scrape the server's HTTP admin
+  /// plane (/metrics, /statusz) instead.
   util::Result<std::string> Health();
-
-  /// Prometheus text scraped from the server's registry.
-  util::Result<std::string> Metrics();
-
-  /// The server's statusz document (uptime, stage latency quantiles,
-  /// flight recorder) as serialized JSON.
-  util::Result<std::string> Statusz();
 
   /// Sends one raw line (a trailing '\n' is added when missing) without
   /// reading a response — the pipelining/testing escape hatch.

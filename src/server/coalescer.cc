@@ -33,32 +33,31 @@ Coalescer::Coalescer(util::ThreadPool* pool, size_t max_pending_rows,
       tracer_(tracer) {
   if (metrics != nullptr) {
     metrics_ = metrics;
-    groups_total_ = metrics->GetCounter("karl_server_batches_total");
-    queries_total_ = metrics->GetCounter("karl_server_queries_total");
-    group_rows_ = metrics->GetRollingHistogram("karl_server_coalesced_rows");
-    group_usec_ = metrics->GetRollingHistogram("karl_server_batch_usec");
     pending_gauge_ = metrics->GetGauge("karl_server_pending_rows");
   }
   dispatcher_ = std::thread([this] { DispatchLoop(); });
 }
 
-const Coalescer::ModelInstruments& Coalescer::InstrumentsForModel(
-    const std::string& model) {
-  const auto it = model_instruments_.find(model);
-  if (it != model_instruments_.end()) return it->second;
-  ModelInstruments instruments;
-  if (metrics_ != nullptr && !model.empty()) {
-    const telemetry::LabelSet labels{{"model", model}};
-    instruments.groups =
-        metrics_->GetCounter("karl_server_batches_total", labels);
-    instruments.queries =
-        metrics_->GetCounter("karl_server_queries_total", labels);
-    instruments.rows =
+void Coalescer::RecordGroup(const std::string& model, size_t rows,
+                            double usec) {
+  if (metrics_ == nullptr) return;
+  auto it = model_instruments_.find(model);
+  if (it == model_instruments_.end()) {
+    telemetry::LabelSet labels;
+    if (!model.empty()) labels.Set("model", model);
+    ModelInstruments m;
+    m.groups = metrics_->GetCounter("karl_server_batches_total", labels);
+    m.queries = metrics_->GetCounter("karl_server_queries_total", labels);
+    m.rows =
         metrics_->GetRollingHistogram("karl_server_coalesced_rows", labels);
-    instruments.usec =
-        metrics_->GetRollingHistogram("karl_server_batch_usec", labels);
+    m.usec = metrics_->GetRollingHistogram("karl_server_batch_usec", labels);
+    it = model_instruments_.emplace(model, m).first;
   }
-  return model_instruments_.emplace(model, instruments).first->second;
+  const ModelInstruments& m = it->second;
+  m.groups->Increment();
+  m.queries->Add(rows);
+  m.rows->Record(static_cast<double>(rows));
+  m.usec->Record(usec);
 }
 
 Coalescer::~Coalescer() {
@@ -214,19 +213,7 @@ void Coalescer::RunExplain(WorkItem item) {
   const double usec = timer.ElapsedSeconds() * 1e6;
   const uint64_t eval_end_us = telemetry::MonotonicMicros();
 
-  if (groups_total_ != nullptr) {
-    groups_total_->Increment();
-    queries_total_->Add(1);
-    group_rows_->Record(1.0);
-    group_usec_->Record(usec);
-    const ModelInstruments& labeled = InstrumentsForModel(item.model);
-    if (labeled.groups != nullptr) {
-      labeled.groups->Increment();
-      labeled.queries->Add(1);
-      labeled.rows->Record(1.0);
-      labeled.usec->Record(usec);
-    }
-  }
+  RecordGroup(item.model, 1, usec);
   if (tracer_.enabled()) {
     tracer_.Span("grp/explain", eval_begin_us, eval_end_us,
                  {{"req", static_cast<double>(item.ctx.id)},
@@ -349,19 +336,7 @@ void Coalescer::RunGroup(std::vector<WorkItem> group) {
   }
   const double usec = timer.ElapsedSeconds() * 1e6;
   const uint64_t eval_end_us = telemetry::MonotonicMicros();
-  if (groups_total_ != nullptr) {
-    groups_total_->Increment();
-    queries_total_->Add(total_rows);
-    group_rows_->Record(static_cast<double>(total_rows));
-    group_usec_->Record(usec);
-    const ModelInstruments& labeled = InstrumentsForModel(group.front().model);
-    if (labeled.groups != nullptr) {
-      labeled.groups->Increment();
-      labeled.queries->Add(total_rows);
-      labeled.rows->Record(static_cast<double>(total_rows));
-      labeled.usec->Record(usec);
-    }
-  }
+  RecordGroup(group.front().model, total_rows, usec);
   tracer_.Span("grp/eval", eval_begin_us, eval_end_us,
                {{"requests", static_cast<double>(group.size())},
                 {"rows", static_cast<double>(total_rows)}});

@@ -186,28 +186,24 @@ class Coalescer {
   bool draining_ KARL_GUARDED_BY(mu_) = false;
   bool stop_ KARL_GUARDED_BY(mu_) = false;
 
-  // Telemetry (null when no registry): dispatched groups, coalesced
-  // rows per group, evaluation latency, queue level. The histograms are
-  // rolling so /metrics can report last-60s group shape next to the
-  // cumulative one.
+  // Telemetry (null when no registry): the queue level, plus per-model
+  // group metrics — dispatched groups, coalesced rows per group,
+  // evaluation latency. A group is single-model by construction (items
+  // are grouped by engine identity), so each group records into exactly
+  // one model's {model=...} series; a server-wide total sums the family.
+  // The histograms are rolling so /metrics can report last-60s group
+  // shape next to the cumulative one. Interned lazily; accessed only on
+  // the dispatcher thread, so no lock.
   telemetry::Registry* metrics_ = nullptr;
-  telemetry::Counter* groups_total_ = nullptr;
-  telemetry::Counter* queries_total_ = nullptr;
-  telemetry::RollingHistogram* group_rows_ = nullptr;
-  telemetry::RollingHistogram* group_usec_ = nullptr;
   telemetry::Gauge* pending_gauge_ = nullptr;
-
-  // {model=...} twins of the group metrics. A group is single-model by
-  // construction (items are grouped by engine identity), so each group
-  // records into exactly one labeled set. Interned lazily; accessed only
-  // on the dispatcher thread, so no lock.
   struct ModelInstruments {
     telemetry::Counter* groups = nullptr;
     telemetry::Counter* queries = nullptr;
     telemetry::RollingHistogram* rows = nullptr;
     telemetry::RollingHistogram* usec = nullptr;
   };
-  const ModelInstruments& InstrumentsForModel(const std::string& model);
+  // Records one dispatched group of `rows` rows into `model`'s series.
+  void RecordGroup(const std::string& model, size_t rows, double usec);
   std::unordered_map<std::string, ModelInstruments> model_instruments_;
 
   std::thread dispatcher_;

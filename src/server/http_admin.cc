@@ -21,10 +21,11 @@ util::Status Errno(const std::string& what) {
 }
 
 // Writes all of `data` to `fd`, tolerating short writes; gives up on
-// error (the peer is an admin client — nothing to salvage).
+// error (the peer is an admin client — nothing to salvage). MSG_NOSIGNAL
+// keeps a scraper that hung up early from raising SIGPIPE.
 void WriteAll(int fd, std::string_view data) {
   while (!data.empty()) {
-    const ssize_t n = ::write(fd, data.data(), data.size());
+    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return;

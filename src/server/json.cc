@@ -52,6 +52,12 @@ void AppendEscaped(std::string_view s, std::string* out) {
 }
 
 void AppendNumber(double v, std::string* out) {
+  // JSON has no NaN/Inf literals: a non-finite number is written as null
+  // (as telemetry::DumpJson does), so Dump() always yields valid JSON.
+  if (!std::isfinite(v)) {
+    *out += "null";
+    return;
+  }
   // %.17g round-trips every finite double exactly through strtod.
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);

@@ -5,9 +5,10 @@
 // in insertion order (deterministic output), and a parser hardened
 // against malformed and deeply nested input — wire bytes are untrusted.
 //
-// Number fidelity: numbers serialize with %.17g, so a double round-trips
-// bit-exactly through Dump() + Parse(). The server relies on this for
-// its "responses are bit-identical to a local Engine" contract.
+// Number fidelity: numbers serialize with %.17g, so a finite double
+// round-trips bit-exactly through Dump() + Parse(). The server relies on
+// this for its "responses are bit-identical to a local Engine" contract.
+// JSON has no NaN/Inf, so a non-finite number serializes as null.
 
 #ifndef KARL_SERVER_JSON_H_
 #define KARL_SERVER_JSON_H_

@@ -58,6 +58,10 @@ std::string Finish(Json response, const std::string& id) {
   return response.Dump() + "\n";
 }
 
+// JSON has no NaN/Inf: a non-finite aggregate is a server fault, so it
+// is answered as one instead of being encoded as null or worse.
+const char kNonFiniteDetail[] = "aggregate is not a finite number";
+
 }  // namespace
 
 std::string_view QueryKindToString(QueryKind kind) {
@@ -86,21 +90,11 @@ util::Result<Request> ParseRequest(std::string_view line) {
 
   const Json* op = root.Find("op");
   if (op == nullptr || !op->is_string()) {
-    return BadRequest(
-        "missing \"op\" "
-        "(query|batch|explain|health|metrics|statusz|reload)");
+    return BadRequest("missing \"op\" (query|batch|explain|health|reload)");
   }
   const std::string& name = op->string_value();
   if (name == "health") {
     request.op = Request::Op::kHealth;
-    return request;
-  }
-  if (name == "metrics") {
-    request.op = Request::Op::kMetrics;
-    return request;
-  }
-  if (name == "statusz") {
-    request.op = Request::Op::kStatusz;
     return request;
   }
   if (name == "reload") {
@@ -150,7 +144,8 @@ util::Result<Request> ParseRequest(std::string_view line) {
     return request;
   }
   return BadRequest("unknown op '" + name +
-                    "' (query|batch|explain|health|metrics|statusz|reload)");
+                    "' (query|batch|explain|health|reload); metrics and "
+                    "status are served by the HTTP admin plane");
 }
 
 std::string OkBoolResponse(const std::string& id, bool above) {
@@ -161,6 +156,9 @@ std::string OkBoolResponse(const std::string& id, bool above) {
 }
 
 std::string OkValueResponse(const std::string& id, double value) {
+  if (!std::isfinite(value)) {
+    return ErrorResponse(id, "internal", kNonFiniteDetail);
+  }
   return Finish(
       Json::Object().Set("ok", Json::Bool(true)).Set("value",
                                                      Json::Number(value)),
@@ -180,7 +178,12 @@ std::string OkBoolsResponse(const std::string& id,
 std::string OkValuesResponse(const std::string& id,
                              const std::vector<double>& values) {
   Json list = Json::Array();
-  for (const double v : values) list.Append(Json::Number(v));
+  for (const double v : values) {
+    if (!std::isfinite(v)) {
+      return ErrorResponse(id, "internal", kNonFiniteDetail);
+    }
+    list.Append(Json::Number(v));
+  }
   return Finish(
       Json::Object().Set("ok", Json::Bool(true)).Set("values",
                                                      std::move(list)),
@@ -192,22 +195,6 @@ std::string OkStatusResponse(std::string_view status) {
                     .Set("ok", Json::Bool(true))
                     .Set("status", Json::Str(std::string(status))),
                 "");
-}
-
-std::string OkMetricsResponse(std::string_view prometheus_text) {
-  return Finish(Json::Object()
-                    .Set("ok", Json::Bool(true))
-                    .Set("metrics", Json::Str(std::string(prometheus_text))),
-                "");
-}
-
-std::string OkStatuszResponse(std::string_view statusz_object) {
-  // The status object is pre-rendered JSON (built by the server layer,
-  // which owns the flight recorder), so it is embedded, not escaped.
-  std::string out = "{\"ok\": true, \"statusz\": ";
-  out += statusz_object;
-  out += "}\n";
-  return out;
 }
 
 Json TraversalProfileJson(const core::TraversalProfile& profile) {
@@ -277,6 +264,9 @@ std::string OkExplainBoolResponse(const std::string& id, bool above,
 
 std::string OkExplainValueResponse(const std::string& id, double value,
                                    const Json& explain) {
+  if (!std::isfinite(value)) {
+    return ErrorResponse(id, "internal", kNonFiniteDetail);
+  }
   return Finish(Json::Object()
                     .Set("ok", Json::Bool(true))
                     .Set("value", Json::Number(value))

@@ -8,14 +8,14 @@
 //   {"op":"batch","kind":"ekaq","queries":[[...],[...]],"eps":E}
 //   {"op":"explain","kind":"tkaq","q":[...],"tau":T}
 //   {"op":"health"}
-//   {"op":"metrics"}
-//   {"op":"statusz"}
 //   {"op":"reload"}
 // Evaluation requests (query/batch/explain) accept an optional
 // "model":"<name>" field naming which registry model answers; omitted,
 // the server's default model serves the request. "reload" rescans the
 // model directory (registry/registry.h) — the request-path twin of
-// SIGHUP.
+// SIGHUP. Metrics and status are not protocol ops: a running server
+// exports them only through its HTTP admin plane (server/http_admin.h:
+// /metrics, /statusz, /flightz, ...).
 //
 // Responses always carry "ok". On success:
 //   tkaq:   {"ok":true,"above":true}            (batch: "above":[...])
@@ -27,14 +27,11 @@
 //           bound-convergence timeline; see TraversalProfileJson).
 //           kind=exact is rejected: a full scan has no traversal.
 //   health: {"ok":true,"status":"serving"}      (or "draining")
-//   metrics:{"ok":true,"metrics":"<Prometheus text, JSON-escaped>"}
-//   statusz:{"ok":true,"statusz":{...}}         (uptime, stage latency
-//           histograms, gauges, and the flight recorder's last-N
-//           completed requests; see Server::StatuszJson)
 //   reload: {"ok":true,"status":"reloaded"}
 // On failure: {"ok":false,"error":"<code>","detail":"..."} with codes
 // "bad_request", "not_found" (unknown model name), "overloaded",
-// "shutting_down", "internal".
+// "shutting_down", "internal". A non-finite aggregate has no JSON
+// encoding, so it is answered with "internal" rather than a value.
 // A request "id" (string) is echoed verbatim on its response, so
 // clients that pipeline can match answers to questions; responses to
 // coalesced queries may complete out of request order.
@@ -66,15 +63,7 @@ std::string_view QueryKindToString(QueryKind kind);
 
 /// One parsed request line.
 struct Request {
-  enum class Op {
-    kQuery,
-    kBatch,
-    kExplain,
-    kHealth,
-    kMetrics,
-    kStatusz,
-    kReload
-  };
+  enum class Op { kQuery, kBatch, kExplain, kHealth, kReload };
 
   Op op = Op::kHealth;
   QueryKind kind = QueryKind::kTkaq;
@@ -103,10 +92,6 @@ std::string OkBoolsResponse(const std::string& id,
 std::string OkValuesResponse(const std::string& id,
                              const std::vector<double>& values);
 std::string OkStatusResponse(std::string_view status);
-std::string OkMetricsResponse(std::string_view prometheus_text);
-/// `statusz_object` must be a serialized JSON object (it is embedded
-/// verbatim, not escaped).
-std::string OkStatuszResponse(std::string_view statusz_object);
 std::string ErrorResponse(const std::string& id, std::string_view code,
                           std::string_view detail);
 

@@ -86,13 +86,8 @@ Json RequestRecordJson(const telemetry::RequestRecord& r) {
 
 Router::Router(registry::ModelRegistry* models, Coalescer* coalescer,
                telemetry::Registry* metrics,
-               telemetry::RequestTracer tracer,
-               std::function<std::string()> statusz_source)
-    : models_(models),
-      coalescer_(coalescer),
-      metrics_(metrics),
-      tracer_(tracer),
-      statusz_source_(std::move(statusz_source)) {
+               telemetry::RequestTracer tracer)
+    : models_(models), coalescer_(coalescer), tracer_(tracer) {
   requests_total_ = metrics->GetCounter("karl_server_requests_total");
   bad_request_total_ = metrics->GetCounter("karl_server_bad_request_total");
   overload_total_ = metrics->GetCounter("karl_server_overload_total");
@@ -117,13 +112,6 @@ Router::Outcome Router::Handle(uint64_t conn_id, std::string_view line,
     case Request::Op::kHealth:
       outcome.immediate_response =
           OkStatusResponse(draining ? "draining" : "serving");
-      return outcome;
-    case Request::Op::kMetrics:
-      outcome.immediate_response = OkMetricsResponse(DumpText(*metrics_));
-      return outcome;
-    case Request::Op::kStatusz:
-      outcome.immediate_response =
-          OkStatuszResponse(statusz_source_ ? statusz_source_() : "{}");
       return outcome;
     case Request::Op::kReload: {
       // The request-path twin of SIGHUP: rescan the model directory.
@@ -300,8 +288,7 @@ util::Result<std::unique_ptr<Server>> Server::StartWithRegistry(
       },
       server->registry_, server->tracer_);
   server->router_ = std::make_unique<Router>(
-      models, server->coalescer_.get(), server->registry_, server->tracer_,
-      [raw] { return raw->StatuszJson(); });
+      models, server->coalescer_.get(), server->registry_, server->tracer_);
 
   server->connections_total_ =
       server->registry_->GetCounter("karl_server_connections_total");
@@ -311,21 +298,6 @@ util::Result<std::unique_ptr<Server>> Server::StartWithRegistry(
       server->registry_->GetGauge("karl_server_connections_active");
 
   telemetry::Registry* reg = server->registry_;
-  server->stage_read_us_ = reg->GetRollingHistogram("karl_server_read_us");
-  server->stage_parse_us_ =
-      reg->GetRollingHistogram("karl_server_parse_us");
-  server->stage_queue_wait_us_ =
-      reg->GetRollingHistogram("karl_server_queue_wait_us");
-  server->stage_coalesce_wait_us_ =
-      reg->GetRollingHistogram("karl_server_coalesce_wait_us");
-  server->stage_eval_us_ = reg->GetRollingHistogram("karl_server_eval_us");
-  server->stage_serialize_us_ =
-      reg->GetRollingHistogram("karl_server_serialize_us");
-  server->stage_write_us_ =
-      reg->GetRollingHistogram("karl_server_write_us");
-  server->stage_total_us_ =
-      reg->GetRollingHistogram("karl_server_total_us");
-
   // Build identity as a constant gauge, so every scrape carries the
   // version/sha/build-type labels next to the numbers they explain.
   reg->GetGauge(util::BuildInfoMetricName())->Set(1.0);
@@ -666,7 +638,10 @@ void Server::ProcessLines(Connection* conn) {
 
 bool Server::FlushOut(Connection* conn) {
   while (!conn->out.empty()) {
-    const ssize_t n = ::write(conn->fd, conn->out.data(), conn->out.size());
+    // MSG_NOSIGNAL: a peer that closed with responses pending must
+    // cost its connection (EPIPE), not the process (SIGPIPE).
+    const ssize_t n =
+        ::send(conn->fd, conn->out.data(), conn->out.size(), MSG_NOSIGNAL);
     if (n > 0) {
       conn->out.erase(0, static_cast<size_t>(n));
       continue;
@@ -756,26 +731,13 @@ void Server::FinishRequest(const Completion& c, bool ok,
                                 (ctx.write_end_us - ctx.write_begin_us) / 2);
   }
 
-  stage_read_us_->Record(static_cast<double>(ctx.read_us()));
-  stage_parse_us_->Record(static_cast<double>(ctx.parse_us()));
-  stage_queue_wait_us_->Record(static_cast<double>(ctx.queue_wait_us()));
-  stage_coalesce_wait_us_->Record(
-      static_cast<double>(ctx.coalesce_wait_us()));
-  stage_eval_us_->Record(static_cast<double>(ctx.eval_us()));
-  stage_serialize_us_->Record(static_cast<double>(ctx.serialize_us()));
-  stage_write_us_->Record(static_cast<double>(ctx.write_us()));
-  stage_total_us_->Record(static_cast<double>(ctx.total_us()));
-
-  // Per-model twins, recorded from the same context values as the
-  // globals above so the labeled series sum exactly to the unlabeled
-  // family, then the SLO observation for this model's error budgets.
+  // One series per event: the served model's stage histograms, then the
+  // SLO observation for this model's error budgets.
   const ModelServingMetrics& serving = ServingMetricsForModel(c.model);
-  if (serving.eval_us != nullptr) {
-    serving.eval_us->Record(static_cast<double>(ctx.eval_us()));
-    serving.total_us->Record(static_cast<double>(ctx.total_us()));
-    serving.requests->Increment();
-    if (!ok) serving.errors->Increment();
+  for (size_t i = 0; i < kStages.size(); ++i) {
+    serving.stages[i]->Record(static_cast<double>((ctx.*kStages[i].us)()));
   }
+  if (!ok) serving.errors->Increment();
   slo_->Observe(c.model, static_cast<double>(ctx.total_us()), ok);
 
   telemetry::RequestRecord record;
@@ -843,17 +805,13 @@ const Server::ModelServingMetrics& Server::ServingMetricsForModel(
     const std::string& model) {
   auto it = model_serving_.find(model);
   if (it != model_serving_.end()) return it->second;
+  telemetry::LabelSet labels;
+  if (!model.empty()) labels.Set("model", model);
   ModelServingMetrics m;
-  if (!model.empty()) {
-    const telemetry::LabelSet labels{{"model", model}};
-    m.eval_us =
-        registry_->GetRollingHistogram("karl_serving_eval_us", labels);
-    m.total_us =
-        registry_->GetRollingHistogram("karl_serving_total_us", labels);
-    m.requests =
-        registry_->GetCounter("karl_serving_requests_total", labels);
-    m.errors = registry_->GetCounter("karl_serving_errors_total", labels);
+  for (size_t i = 0; i < kStages.size(); ++i) {
+    m.stages[i] = registry_->GetRollingHistogram(kStages[i].family, labels);
   }
+  m.errors = registry_->GetCounter("karl_serving_errors_total", labels);
   return model_serving_.emplace(model, m).first->second;
 }
 
@@ -876,19 +834,12 @@ std::string Server::StatuszJson() const {
   }
   root.Set("gauges", std::move(gauges));
 
-  const std::pair<const char*, telemetry::RollingHistogram*> stages[] = {
-      {"read", stage_read_us_},
-      {"parse", stage_parse_us_},
-      {"queue_wait", stage_queue_wait_us_},
-      {"coalesce_wait", stage_coalesce_wait_us_},
-      {"eval", stage_eval_us_},
-      {"serialize", stage_serialize_us_},
-      {"write", stage_write_us_},
-      {"total", stage_total_us_},
-  };
+  // Server-wide stage latencies: each family merged over every model.
   Json stage_obj = Json::Object();
-  for (const auto& [name, histogram] : stages) {
-    const telemetry::HistogramSnapshot h = histogram->CumulativeSnapshot();
+  for (const Stage& stage : kStages) {
+    const telemetry::RollingHistogramSnapshot merged =
+        telemetry::FamilyTotal(snapshot.rolling, stage.family);
+    const telemetry::HistogramSnapshot& h = merged.cumulative;
     Json entry = Json::Object();
     entry.Set("count", Json::Number(static_cast<double>(h.count)));
     entry.Set("sum_us", Json::Number(h.sum));
@@ -896,7 +847,7 @@ std::string Server::StatuszJson() const {
     entry.Set("p95_us", Json::Number(h.Quantile(0.95)));
     entry.Set("p99_us", Json::Number(h.Quantile(0.99)));
     entry.Set("max_us", Json::Number(h.max));
-    const telemetry::HistogramSnapshot w = histogram->WindowSnapshot();
+    const telemetry::HistogramSnapshot& w = merged.window;
     Json window = Json::Object();
     window.Set("count", Json::Number(static_cast<double>(w.count)));
     window.Set("p50_us", Json::Number(w.Quantile(0.5)));
@@ -904,7 +855,7 @@ std::string Server::StatuszJson() const {
     window.Set("p99_us", Json::Number(w.Quantile(0.99)));
     window.Set("max_us", Json::Number(w.max));
     entry.Set("window60s", std::move(window));
-    stage_obj.Set(name, std::move(entry));
+    stage_obj.Set(stage.name, std::move(entry));
   }
   root.Set("stages", std::move(stage_obj));
 

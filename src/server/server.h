@@ -39,15 +39,21 @@
 // flight recorder, explain ring, SLO engine, an atomic draining flag),
 // so a stuck scraper never touches the query path.
 //
+// The admin plane is the only export surface of a running server; the
+// NDJSON protocol carries queries plus the health and reload ops.
+//
 // Per-model observability: the router resolves every admitted
 // request's model name up front, so completions carry it end to end —
-// {model=...} labeled twins of the serving histograms and counters,
-// the SLO engine's error budgets, the access log, the slow-query WARN,
-// and the flight record all attribute to the concrete model served.
+// the {model=...} stage histograms and error counter, the SLO engine's
+// error budgets, the access log, the slow-query WARN, and the flight
+// record all attribute to the concrete model served. Each event is
+// recorded in exactly one series; a server-wide figure (the /statusz
+// stage table) sums the family (telemetry::FamilyTotal).
 
 #ifndef KARL_SERVER_SERVER_H_
 #define KARL_SERVER_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -89,7 +95,7 @@ struct ServerOptions {
   /// Hard cap on the graceful-shutdown drain.
   int drain_timeout_ms = 10000;
   /// Metrics registry; null falls back to telemetry::GlobalRegistry()
-  /// (the /metrics op always has something to expose).
+  /// (the admin /metrics page always has something to expose).
   telemetry::Registry* metrics = nullptr;
   /// Trace recorder for per-request spans and cross-thread flow events
   /// (see telemetry/context.h); null disables request tracing.
@@ -103,8 +109,8 @@ struct ServerOptions {
   /// microseconds get a WARN line on `logger` with the full stage
   /// breakdown and engine stats; 0 disables.
   uint64_t slow_query_us = 0;
-  /// Flight-recorder depth: how many completed requests `statusz`
-  /// remembers.
+  /// Flight-recorder depth: how many completed requests /statusz and
+  /// /flightz remember.
   size_t flight_recorder_capacity = 256;
   /// HTTP admin/scrape listener port (server/http_admin.h): GET
   /// /metrics, /healthz, /statusz, /varz, /flightz, /modelz,
@@ -123,20 +129,17 @@ struct ServerOptions {
   telemetry::SloConfig slo;
 };
 
-/// Maps one parsed request to its action: answer health/metrics/reload
-/// inline, resolve the request's model through the registry, validate
+/// Maps one parsed request to its action: answer health/reload inline, resolve the request's model through the registry, validate
 /// query/batch requests against that engine (dimensionality, weighting
 /// type) and admit them to the coalescer with the model pinned. Owns no
 /// sockets — the Connection layer handles transport.
 class Router {
  public:
   /// `tracer` emits the event-loop-side request spans (req/read,
-  /// req/parse) and the flow start; `statusz_source` renders the
-  /// `statusz` op body (empty object when unset).
+  /// req/parse) and the flow start.
   Router(registry::ModelRegistry* models, Coalescer* coalescer,
          telemetry::Registry* metrics,
-         telemetry::RequestTracer tracer = {},
-         std::function<std::string()> statusz_source = {});
+         telemetry::RequestTracer tracer = {});
 
   /// Outcome of routing one request line.
   struct Outcome {
@@ -163,9 +166,7 @@ class Router {
  private:
   registry::ModelRegistry* models_;
   Coalescer* coalescer_;
-  telemetry::Registry* metrics_;
   telemetry::RequestTracer tracer_;
-  std::function<std::string()> statusz_source_;
   telemetry::Counter* requests_total_ = nullptr;
   telemetry::Counter* bad_request_total_ = nullptr;
   telemetry::Counter* overload_total_ = nullptr;
@@ -208,10 +209,10 @@ class Server {
   /// Blocks until the event loop exited (drain finished).
   void Wait();
 
-  /// Point-in-time status document as a JSON object: uptime, counters,
-  /// gauges, per-stage latency quantiles, and the flight recorder's
-  /// last-N completed requests. Thread-safe; this is what the `statusz`
-  /// op returns and what the SIGUSR1 dump writes.
+  /// Point-in-time status document as a JSON object (the /statusz admin
+  /// page): uptime, counters, gauges, per-stage latency quantiles over
+  /// every model, and the flight recorder's last-N completed requests.
+  /// Thread-safe.
   std::string StatuszJson() const;
 
   /// Build identity, effective options, and model summary as a JSON
@@ -283,7 +284,7 @@ class Server {
   // pending are closed.
   void MaybeFinish(Connection* conn);
   // Observability tail of one completion: req/write span + flow end,
-  // stage histograms (global and {model=...} labeled), SLO observation,
+  // the model's stage histograms, SLO observation,
   // flight record, access-log line, slow-query WARN. Runs exactly once
   // per admitted request, on the event-loop thread.
   void FinishRequest(const Completion& completion, bool ok,
@@ -336,29 +337,41 @@ class Server {
   telemetry::Counter* dropped_slow_total_ = nullptr;
   telemetry::Gauge* connections_active_ = nullptr;
 
-  // Request observability (tentpole of the serving stack's story):
-  // per-stage latency histograms, the flight recorder, and the tracer
-  // shared with the router and coalescer.
+  // Request observability: the flight recorder and the tracer shared
+  // with the router and coalescer.
   telemetry::RequestTracer tracer_;
   std::unique_ptr<telemetry::FlightRecorder> flight_recorder_;
   util::Stopwatch uptime_;
-  telemetry::RollingHistogram* stage_read_us_ = nullptr;
-  telemetry::RollingHistogram* stage_parse_us_ = nullptr;
-  telemetry::RollingHistogram* stage_queue_wait_us_ = nullptr;
-  telemetry::RollingHistogram* stage_coalesce_wait_us_ = nullptr;
-  telemetry::RollingHistogram* stage_eval_us_ = nullptr;
-  telemetry::RollingHistogram* stage_serialize_us_ = nullptr;
-  telemetry::RollingHistogram* stage_write_us_ = nullptr;
-  telemetry::RollingHistogram* stage_total_us_ = nullptr;
 
-  // {model=...} twins of the serving metrics, interned lazily per model
-  // on the event-loop thread (FinishRequest's sole caller) — no lock.
-  // Recorded from the same context values as the globals, so per-model
-  // series sum exactly to the unlabeled family.
+  // The request pipeline's stages: /statusz key, rolling-histogram
+  // family, and the RequestContext accessor that times the stage.
+  struct Stage {
+    const char* name;
+    const char* family;
+    uint64_t (telemetry::RequestContext::*us)() const;
+  };
+  static constexpr std::array<Stage, 8> kStages = {{
+      {"read", "karl_server_read_us", &telemetry::RequestContext::read_us},
+      {"parse", "karl_server_parse_us",
+       &telemetry::RequestContext::parse_us},
+      {"queue_wait", "karl_server_queue_wait_us",
+       &telemetry::RequestContext::queue_wait_us},
+      {"coalesce_wait", "karl_server_coalesce_wait_us",
+       &telemetry::RequestContext::coalesce_wait_us},
+      {"eval", "karl_server_eval_us", &telemetry::RequestContext::eval_us},
+      {"serialize", "karl_server_serialize_us",
+       &telemetry::RequestContext::serialize_us},
+      {"write", "karl_server_write_us",
+       &telemetry::RequestContext::write_us},
+      {"total", "karl_server_total_us",
+       &telemetry::RequestContext::total_us},
+  }};
+
+  // Per-model serving series — the stage histograms and the error
+  // counter, {model=...} labeled — interned lazily on the event-loop
+  // thread (FinishRequest's sole caller), so no lock.
   struct ModelServingMetrics {
-    telemetry::RollingHistogram* eval_us = nullptr;
-    telemetry::RollingHistogram* total_us = nullptr;
-    telemetry::Counter* requests = nullptr;
+    std::array<telemetry::RollingHistogram*, kStages.size()> stages{};
     telemetry::Counter* errors = nullptr;
   };
   const ModelServingMetrics& ServingMetricsForModel(

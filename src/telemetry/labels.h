@@ -1,6 +1,6 @@
 // Dimensional metric labels: a small, ordered, cardinality-bounded set of
 // key/value pairs that qualifies one metric family into per-dimension
-// series ("karl_serving_eval_us{model=\"alpha\"}").
+// series ("karl_server_eval_us{model=\"alpha\"}").
 //
 // Design constraints, in order:
 //   1. The record path stays lock-free: a LabelSet participates only in

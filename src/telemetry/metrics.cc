@@ -136,6 +136,17 @@ double HistogramSnapshot::Quantile(double q) const {
   return max;
 }
 
+void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
+  for (int i = 0; i < kHistogramBuckets; ++i) {
+    buckets[static_cast<size_t>(i)] += other.buckets[static_cast<size_t>(i)];
+  }
+  if (other.count == 0) return;
+  min = count == 0 ? other.min : std::min(min, other.min);
+  max = count == 0 ? other.max : std::max(max, other.max);
+  count += other.count;
+  sum += other.sum;
+}
+
 void Histogram::Record(double value) {
   counts_[static_cast<size_t>(HistogramBucketIndex(value))].fetch_add(
       1, std::memory_order_relaxed);

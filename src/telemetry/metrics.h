@@ -21,6 +21,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -93,6 +95,12 @@ struct HistogramSnapshot {
   /// within the containing bucket, clamped to the exact [min, max].
   /// Returns 0 for an empty histogram.
   double Quantile(double q) const;
+
+  /// Adds `other`'s samples into this snapshot. Every histogram shares
+  /// one bucket layout, so the merge is exact: the result (quantiles
+  /// included) is what one histogram fed both sample streams would
+  /// report.
+  void Merge(const HistogramSnapshot& other);
 };
 
 /// Log-bucketed distribution of a positive quantity. Recording is a few
@@ -125,6 +133,12 @@ struct RollingHistogramSnapshot {
   HistogramSnapshot cumulative;
   HistogramSnapshot window;
   uint64_t window_span_s = 0;
+
+  void Merge(const RollingHistogramSnapshot& other) {
+    cumulative.Merge(other.cumulative);
+    window.Merge(other.window);
+    window_span_s = other.window_span_s;
+  }
 };
 
 /// All metric values of one registry, copied at a point in time. Names are
@@ -223,6 +237,31 @@ Registry& GlobalRegistry();
 /// what `# TYPE` lines must carry for labeled series such as
 /// `karl_build_info{version="...",git_sha="..."}`.
 std::string MetricBaseName(const std::string& name);
+
+/// Total of `family` over one snapshot section (counters, gauges,
+/// histograms or rolling): the sum, or histogram merge, of every series
+/// of the family, labeled or not. Each event is recorded in exactly one
+/// series, so this is the family-wide figure — e.g.
+/// `FamilyTotal(snap.rolling, "karl_server_eval_us")` is the eval-stage
+/// distribution over every model served.
+template <typename T>
+T FamilyTotal(const std::vector<std::pair<std::string, T>>& section,
+              std::string_view family) {
+  T total{};
+  for (const auto& [series, value] : section) {
+    const std::string_view name = series;
+    if (name.substr(0, family.size()) != family ||
+        (name.size() > family.size() && name[family.size()] != '{')) {
+      continue;
+    }
+    if constexpr (std::is_arithmetic_v<T>) {
+      total += value;
+    } else {
+      total.Merge(value);
+    }
+  }
+  return total;
+}
 
 /// Prometheus-style text exposition: counters and gauges as single
 /// samples, histograms as summaries with {quantile="0|0.5|0.95|0.99|1"}

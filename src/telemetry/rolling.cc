@@ -1,6 +1,5 @@
 #include "telemetry/rolling.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "telemetry/context.h"
@@ -91,27 +90,23 @@ HistogramSnapshot RollingHistogram::WindowSnapshotAt(uint64_t now_us) const {
           ? cur_epoch - static_cast<uint64_t>(kMergedSubWindows - 1)
           : 0;
   HistogramSnapshot snap;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
   for (int i = 0; i < kWheelSlots; ++i) {
     const Slot& slot = slots_[static_cast<size_t>(i)];
     const uint64_t epoch = slot.epoch.load(std::memory_order_acquire);
     if (epoch == Slot::kNeverUsed || epoch < lo_epoch || epoch > cur_epoch) {
       continue;  // Idle or expired sub-window.
     }
+    HistogramSnapshot sub;
     for (int b = 0; b < kHistogramBuckets; ++b) {
-      snap.buckets[static_cast<size_t>(b)] +=
+      sub.buckets[static_cast<size_t>(b)] =
           slot.counts[static_cast<size_t>(b)].load(std::memory_order_relaxed);
     }
-    const uint64_t c = slot.count.load(std::memory_order_relaxed);
-    if (c == 0) continue;
-    snap.count += c;
-    snap.sum += slot.sum.load(std::memory_order_relaxed);
-    min = std::min(min, slot.min.load(std::memory_order_relaxed));
-    max = std::max(max, slot.max.load(std::memory_order_relaxed));
+    sub.count = slot.count.load(std::memory_order_relaxed);
+    sub.sum = slot.sum.load(std::memory_order_relaxed);
+    sub.min = slot.min.load(std::memory_order_relaxed);
+    sub.max = slot.max.load(std::memory_order_relaxed);
+    snap.Merge(sub);
   }
-  snap.min = snap.count == 0 ? 0.0 : min;
-  snap.max = snap.count == 0 ? 0.0 : max;
   return snap;
 }
 

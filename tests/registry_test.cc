@@ -480,9 +480,16 @@ TEST(RegistryTest, EvictsLruUnderBudgetButNeverPinned) {
       EXPECT_TRUE(info.resident);
     }
   }
-  EXPECT_EQ(metrics.GetCounter("karl_model_evictions_total")->value(), 1u);
-  EXPECT_EQ(metrics.GetCounter("karl_model_loads_total")->value(), 2u);
-  EXPECT_GT(metrics.GetGauge("karl_model_resident_bytes")->value(), 0.0);
+  // Model metrics are per-model series; the totals sum each family.
+  const telemetry::RegistrySnapshot snap = metrics.Snapshot();
+  EXPECT_EQ(telemetry::FamilyTotal(snap.counters,
+                                   "karl_model_evictions_total"),
+            1u);
+  EXPECT_EQ(telemetry::FamilyTotal(snap.counters, "karl_model_loads_total"),
+            2u);
+  EXPECT_EQ(telemetry::FamilyTotal(snap.gauges, "karl_model_resident_bytes"),
+            static_cast<double>(reg.resident_bytes()));
+  EXPECT_GT(reg.resident_bytes(), 0u);
 
   // Re-load a while still holding b's handle: b is pinned, so both stay
   // resident even though the budget is exceeded.
@@ -581,7 +588,7 @@ TEST(RegistryTest, GenerationTracksTheReloadThatLoadedEachModel) {
     }
   }
 
-  // Labeled per-model twins recorded alongside the global families.
+  // One labeled series per model; a family total sums them.
   EXPECT_EQ(metrics
                 .GetCounter("karl_model_loads_total",
                             telemetry::LabelSet{{"model", "m"}})
@@ -592,7 +599,9 @@ TEST(RegistryTest, GenerationTracksTheReloadThatLoadedEachModel) {
                             telemetry::LabelSet{{"model", "n"}})
                 ->value(),
             1u);
-  EXPECT_EQ(metrics.GetCounter("karl_model_loads_total")->value(), 3u);
+  EXPECT_EQ(telemetry::FamilyTotal(metrics.Snapshot().counters,
+                                   "karl_model_loads_total"),
+            3u);
   EXPECT_GT(metrics
                 .GetGauge("karl_model_resident_bytes",
                           telemetry::LabelSet{{"model", "m"}})
@@ -603,20 +612,31 @@ TEST(RegistryTest, GenerationTracksTheReloadThatLoadedEachModel) {
 TEST(RegistryTest, ReloadAddsNewFilesAndDropsDeletedOnes) {
   TempDir dir("karl_reg_rescan");
   WriteModel(dir.File("a.snap"), 61, 200);
-  auto registry = ModelRegistry::Open(dir.File(""), RegistryOptions{});
+  telemetry::Registry metrics;
+  RegistryOptions options;
+  options.metrics = &metrics;
+  auto registry = ModelRegistry::Open(dir.File(""), options);
   ASSERT_TRUE(registry.ok());
   ModelRegistry& reg = *registry.value();
   EXPECT_FALSE(reg.Acquire("c").ok());
+  const auto resident_family = [&metrics] {
+    return telemetry::FamilyTotal(metrics.Snapshot().gauges,
+                                  "karl_model_resident_bytes");
+  };
 
   WriteModel(dir.File("c.snap"), 62, 200);
   ASSERT_TRUE(reg.Reload().ok());
   EXPECT_TRUE(reg.Acquire("c").ok());
+  EXPECT_GT(resident_family(), 0.0);
 
   ASSERT_TRUE(fs::remove(dir.File("c.snap")));
   ASSERT_TRUE(reg.Reload().ok());
   auto gone = reg.Acquire("c");
   ASSERT_FALSE(gone.ok());
   EXPECT_EQ(gone.status().code(), util::StatusCode::kNotFound);
+  // A dropped model's residency series reads 0, so the family still
+  // sums to what the registry holds.
+  EXPECT_EQ(resident_family(), static_cast<double>(reg.resident_bytes()));
 }
 
 TEST(RegistryTest, AdoptedEnginesServeAndResistEviction) {

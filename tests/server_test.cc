@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -41,6 +42,131 @@ namespace {
 
 constexpr double kEps = 0.05;
 constexpr double kTau = 40.0;
+
+// HTTP admin plane client. The admin listener speaks plain HTTP/1.1
+// with Connection: close, so a raw socket that sends one request and
+// reads to EOF is a complete client.
+std::string HttpFetch(int port, const std::string& raw_request) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return "";
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return "";
+  }
+  size_t sent = 0;
+  while (sent < raw_request.size()) {
+    const ssize_t n = ::send(fd, raw_request.data() + sent,
+                             raw_request.size() - sent, 0);
+    if (n <= 0) break;
+    sent += static_cast<size_t>(n);
+  }
+  std::string out;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    out.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return out;
+}
+
+std::string HttpGet(int port, const std::string& target) {
+  return HttpFetch(port, "GET " + target + " HTTP/1.1\r\nHost: karl\r\n\r\n");
+}
+
+// Body of an HTTP response ("" when the head never ended).
+std::string HttpBody(const std::string& response) {
+  const size_t at = response.find("\r\n\r\n");
+  return at == std::string::npos ? "" : response.substr(at + 4);
+}
+
+// One sample line of a Prometheus text exposition.
+struct Sample {
+  std::string name;    // Metric name, suffixes (_count, ...) included.
+  std::string labels;  // Label block without the quantile label.
+  double value = 0.0;
+};
+
+std::vector<Sample> ParseExposition(const std::string& body) {
+  std::vector<Sample> samples;
+  size_t pos = 0;
+  while (pos < body.size()) {
+    size_t end = body.find('\n', pos);
+    if (end == std::string::npos) end = body.size();
+    const std::string line = body.substr(pos, end - pos);
+    pos = end + 1;
+    if (line.empty() || line[0] == '#') continue;
+    const size_t space = line.rfind(' ');
+    if (space == std::string::npos) continue;
+    const std::string series = line.substr(0, space);
+    Sample sample;
+    sample.value = std::strtod(line.c_str() + space + 1, nullptr);
+    const size_t brace = series.find('{');
+    sample.name = series.substr(0, brace);
+    if (brace != std::string::npos) {
+      // Label values in these tests hold no ',' or quotes, so splitting
+      // the block on ',' is exact.
+      std::string block = series.substr(brace + 1);
+      block.pop_back();  // '}'
+      size_t at = 0;
+      while (at <= block.size()) {
+        size_t comma = block.find(',', at);
+        if (comma == std::string::npos) comma = block.size();
+        const std::string label = block.substr(at, comma - at);
+        if (!label.empty() && label.rfind("quantile=", 0) != 0) {
+          if (!sample.labels.empty()) sample.labels += ",";
+          sample.labels += label;
+        }
+        at = comma + 1;
+      }
+    }
+    samples.push_back(std::move(sample));
+  }
+  return samples;
+}
+
+// Sum of every sample of metric `name` over all its label sets.
+double FamilySum(const std::string& body, const std::string& name) {
+  double sum = 0.0;
+  for (const Sample& sample : ParseExposition(body)) {
+    if (sample.name == name) sum += sample.value;
+  }
+  return sum;
+}
+
+// Metric names with both an unlabeled and a labeled series (the quantile
+// label ignored) — an event recorded twice, so a family sum counts it
+// twice.
+std::set<std::string> MixedFamilies(const std::string& body) {
+  std::map<std::string, std::pair<bool, bool>> shapes;
+  for (const Sample& sample : ParseExposition(body)) {
+    auto& [unlabeled, labeled] = shapes[sample.name];
+    (sample.labels.empty() ? unlabeled : labeled) = true;
+  }
+  std::set<std::string> mixed;
+  for (const auto& [name, shape] : shapes) {
+    if (shape.first && shape.second) mixed.insert(name);
+  }
+  return mixed;
+}
+
+// One op=query kind=exact request line; `model` "" targets the default.
+Json ExactQueryRequest(std::span<const double> q,
+                       const std::string& model) {
+  Json row = Json::Array();
+  for (const double v : q) row.Append(Json::Number(v));
+  Json request = Json::Object()
+                     .Set("op", Json::Str("query"))
+                     .Set("kind", Json::Str("exact"))
+                     .Set("q", std::move(row));
+  if (!model.empty()) request.Set("model", Json::Str(model));
+  return request;
+}
 
 class ServerTest : public ::testing::Test {
  protected:
@@ -101,6 +227,28 @@ class ServerTest : public ::testing::Test {
 
   uint64_t CounterValue(const std::string& name) {
     return registry_.GetCounter(name)->value();
+  }
+
+  // The counter family `name` summed over all its series.
+  uint64_t CounterFamilyTotal(const std::string& name) {
+    return telemetry::FamilyTotal(registry_.Snapshot().counters, name);
+  }
+
+  // One health round trip on `client`. The event loop reads this line
+  // only after it finished every completion it had already answered on
+  // the connection (FinishRequest runs right after the write), so on
+  // return every earlier answered request is in the metrics and the
+  // flight recorder — an admin scrape then sees all of them.
+  static void HealthBarrier(Client& client) {
+    auto health = client.Health();
+    ASSERT_TRUE(health.ok()) << health.status().ToString();
+  }
+
+  // Body of GET `target` on the admin plane.
+  std::string AdminGet(const std::string& target) {
+    const std::string response = HttpGet(server_->admin_port(), target);
+    EXPECT_NE(response.find("HTTP/1.1 200"), std::string::npos) << response;
+    return HttpBody(response);
   }
 
   // Spins until `gauge` reaches `at_least` (all queries admitted); the
@@ -196,8 +344,8 @@ TEST_F(ServerTest, CoalescedConcurrentQueriesAreBitIdenticalToSerial) {
 
   // All n queries were answered by fewer dispatch groups (coalescing
   // actually happened, rather than n single-row batches).
-  EXPECT_EQ(CounterValue("karl_server_queries_total"), n);
-  EXPECT_LT(CounterValue("karl_server_batches_total"), n);
+  EXPECT_EQ(CounterFamilyTotal("karl_server_queries_total"), n);
+  EXPECT_LT(CounterFamilyTotal("karl_server_batches_total"), n);
 }
 
 TEST_F(ServerTest, OverloadShedsWithExplicitErrorAndBoundedQueue) {
@@ -269,6 +417,9 @@ TEST_F(ServerTest, MalformedRequestsAreRejectedWithoutKillingConnection) {
   const std::vector<std::string> bad = {
       "this is not json",
       "{\"op\":\"launch\"}",
+      // Retired ops: metrics and status live on the admin plane.
+      "{\"op\":\"metrics\"}",
+      "{\"op\":\"statusz\"}",
       "{\"op\":\"query\",\"kind\":\"tkaq\",\"q\":[1,2,3,4]}",  // No tau.
       "{\"op\":\"query\",\"kind\":\"ekaq\",\"eps\":-1,\"q\":[1,2,3,4]}",
       "{\"op\":\"query\",\"kind\":\"exact\",\"q\":[1,2]}",  // Dim mismatch.
@@ -385,24 +536,56 @@ TEST_F(ServerTest, QueriesDuringDrainAreRefusedAsShuttingDown) {
   server_->Wait();
 }
 
+// A client that pipelines queries and hangs up before reading the
+// answers must cost only its own connection. The answers are written
+// after the peer's FIN, so the second write of each round meets the
+// peer's RST (EPIPE) — which, without MSG_NOSIGNAL, is a SIGPIPE that
+// kills the whole serving process.
+TEST_F(ServerTest, PeerHangupWithPendingAnswersLeavesTheServerServing) {
+  constexpr size_t kQueries = 2000;
+  StartServer(/*max_pending=*/2 * kQueries + 64);
+  std::string burst;
+  for (size_t i = 0; i < kQueries; ++i) {
+    burst += ExactQueryRequest(queries_.Row(i % queries_.rows()), "").Dump();
+    burst += "\n";
+  }
+  for (int round = 0; round < 20; ++round) {
+    // Hold dispatch until the whole burst is admitted, so nothing has
+    // been answered when the client closes (a FIN, not an RST).
+    server_->PauseCoalescerForTest();
+    {
+      Client client = Dial();
+      ASSERT_TRUE(client.SendLine(burst).ok());
+      WaitForPendingRows(static_cast<double>(kQueries));
+    }
+    server_->ResumeCoalescerForTest();
+    Client fresh = Dial();
+    auto health = fresh.Health();
+    ASSERT_TRUE(health.ok()) << "round " << round << ": "
+                             << health.status().ToString();
+    EXPECT_EQ(health.value(), "serving");
+  }
+}
+
 TEST_F(ServerTest, HealthAndMetricsRoundTrip) {
-  StartServer();
+  ServerOptions options;
+  options.admin_port = 0;
+  StartServerWith(std::move(options));
   Client client = Dial();
   auto health = client.Health();
   ASSERT_TRUE(health.ok()) << health.status().ToString();
   EXPECT_EQ(health.value(), "serving");
 
   ASSERT_TRUE(client.Exact(queries_.Row(0)).ok());
-  auto metrics = client.Metrics();
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  EXPECT_NE(metrics.value().find("karl_server_requests_total"),
+  HealthBarrier(client);
+  const std::string metrics = AdminGet("/metrics");
+  EXPECT_NE(metrics.find("karl_server_requests_total"), std::string::npos);
+  EXPECT_NE(metrics.find("karl_server_batches_total{model=\"default\"}"),
             std::string::npos);
-  EXPECT_NE(metrics.value().find("karl_server_batches_total"),
-            std::string::npos);
-  // Satellite: the pool exports saturation gauges once attached.
-  EXPECT_NE(metrics.value().find("karl_pool_queue_depth"), std::string::npos);
-  EXPECT_NE(metrics.value().find("karl_pool_active_workers"),
-            std::string::npos);
+  // The pool exports saturation gauges once attached.
+  EXPECT_NE(metrics.find("karl_pool_queue_depth"), std::string::npos);
+  EXPECT_NE(metrics.find("karl_pool_active_workers"), std::string::npos);
+  EXPECT_TRUE(MixedFamilies(metrics).empty());
 }
 
 TEST_F(ServerTest, EkaqOnTypeThreeWeightsIsRejectedUpFront) {
@@ -446,6 +629,7 @@ TEST_F(ServerTest, FlightRecorderSeesEveryAdmittedRequestExactlyOnce) {
 
   ServerOptions options;
   options.access_log = access_log.value().get();
+  options.admin_port = 0;
   StartServerWith(std::move(options));
 
   Client client = Dial();
@@ -479,14 +663,14 @@ TEST_F(ServerTest, FlightRecorderSeesEveryAdmittedRequestExactlyOnce) {
   ASSERT_TRUE(client.ReceiveLine().ok());
 
   // All six completions were finished on the event-loop thread before
-  // it could even frame this statusz request, so the snapshot is
-  // complete by construction — no sleep needed.
-  auto statusz = client.Statusz();
-  ASSERT_TRUE(statusz.ok()) << statusz.status().ToString();
-  auto parsed = Json::Parse(statusz.value());
-  ASSERT_TRUE(parsed.ok()) << statusz.value();
+  // it could even frame the barrier's health request, so the snapshot
+  // is complete by construction — no sleep needed.
+  HealthBarrier(client);
+  const std::string statusz = AdminGet("/statusz");
+  auto parsed = Json::Parse(statusz);
+  ASSERT_TRUE(parsed.ok()) << statusz;
   const Json* recorder = parsed.value().Find("flight_recorder");
-  ASSERT_NE(recorder, nullptr) << statusz.value();
+  ASSERT_NE(recorder, nullptr) << statusz;
   EXPECT_EQ(recorder->Find("total_recorded")->number_value(),
             static_cast<double>(singles + 1));
   const Json* requests = recorder->Find("requests");
@@ -559,16 +743,18 @@ TEST_F(ServerTest, FlightRecorderSeesEveryAdmittedRequestExactlyOnce) {
 }
 
 TEST_F(ServerTest, StatuszReportsStageHistogramsAndUptime) {
-  StartServer();
+  ServerOptions options;
+  options.admin_port = 0;
+  StartServerWith(std::move(options));
   Client client = Dial();
   const size_t n = 4;
   for (size_t i = 0; i < n; ++i) {
     ASSERT_TRUE(client.Exact(queries_.Row(i)).ok());
   }
-  auto statusz = client.Statusz();
-  ASSERT_TRUE(statusz.ok()) << statusz.status().ToString();
-  auto parsed = Json::Parse(statusz.value());
-  ASSERT_TRUE(parsed.ok()) << statusz.value();
+  HealthBarrier(client);
+  const std::string statusz = AdminGet("/statusz");
+  auto parsed = Json::Parse(statusz);
+  ASSERT_TRUE(parsed.ok()) << statusz;
   const Json& root = parsed.value();
   ASSERT_NE(root.Find("uptime_s"), nullptr);
   EXPECT_GE(root.Find("uptime_s")->number_value(), 0.0);
@@ -586,7 +772,7 @@ TEST_F(ServerTest, StatuszReportsStageHistogramsAndUptime) {
                             "eval", "serialize", "write", "total"}) {
     const Json* entry = stages->Find(stage);
     ASSERT_NE(entry, nullptr) << stage;
-    // Exactly the admitted queries: health/metrics/statusz ops never
+    // Exactly the admitted queries: health ops and admin scrapes never
     // touch the stage histograms.
     EXPECT_EQ(entry->Find("count")->number_value(), static_cast<double>(n))
         << stage;
@@ -729,6 +915,15 @@ TEST(ServerJsonTest, ParseRejectsGarbageAndRoundTripsValues) {
   auto back = Json::Parse(value.Dump());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().Find("x")->number_value(), tricky);
+
+  // JSON has no NaN/Inf: non-finite numbers are written as null, so a
+  // Dump is always parseable.
+  Json non_finite = Json::Array()
+                        .Append(Json::Number(std::nan("")))
+                        .Append(Json::Number(HUGE_VAL))
+                        .Append(Json::Number(-HUGE_VAL));
+  EXPECT_EQ(non_finite.Dump(), "[null,null,null]");
+  EXPECT_TRUE(Json::Parse(non_finite.Dump()).ok());
 }
 
 TEST(ServerProtocolTest, ParseRequestValidates) {
@@ -751,46 +946,36 @@ TEST(ServerProtocolTest, ParseRequestValidates) {
   EXPECT_EQ(request.value().queries.rows(), 2u);
   EXPECT_EQ(request.value().queries.cols(), 2u);
   EXPECT_EQ(request.value().id, "z");
+
+  // Metrics and status are admin-plane pages, not protocol ops.
+  for (const char* op : {"metrics", "statusz"}) {
+    auto retired =
+        ParseRequest(std::string("{\"op\":\"") + op + "\"}");
+    ASSERT_FALSE(retired.ok()) << op;
+    EXPECT_NE(retired.status().message().find("admin plane"),
+              std::string::npos)
+        << retired.status().message();
+  }
 }
 
-
-// ---------------------------------------------------------------------------
-// HTTP admin plane (PR 7 tentpole). The admin listener speaks plain
-// HTTP/1.1 with Connection: close, so a raw socket that sends one
-// request and reads to EOF is a complete client.
-
-std::string HttpFetch(int port, const std::string& raw_request) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return "";
+// A non-finite aggregate has no JSON encoding: the answer is a typed
+// internal error carrying the request id, never an unparseable line.
+TEST(ServerProtocolTest, NonFiniteAnswersBecomeInternalErrors) {
+  for (const std::string& line :
+       {OkValueResponse("x", std::nan("")),
+        OkValuesResponse("x", {1.0, HUGE_VAL, -std::nan("")}),
+        OkExplainValueResponse("x", -HUGE_VAL, Json::Object())}) {
+    auto parsed = Json::Parse(line);
+    ASSERT_TRUE(parsed.ok()) << line;
+    EXPECT_FALSE(parsed.value().Find("ok")->bool_value()) << line;
+    EXPECT_EQ(parsed.value().Find("error")->string_value(), "internal");
+    EXPECT_EQ(parsed.value().Find("id")->string_value(), "x");
   }
-  size_t sent = 0;
-  while (sent < raw_request.size()) {
-    const ssize_t n = ::send(fd, raw_request.data() + sent,
-                             raw_request.size() - sent, 0);
-    if (n <= 0) break;
-    sent += static_cast<size_t>(n);
-  }
-  std::string out;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    out.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return out;
+  auto finite = Json::Parse(OkValuesResponse("y", {1.5, -2.0}));
+  ASSERT_TRUE(finite.ok());
+  EXPECT_TRUE(finite.value().Find("ok")->bool_value());
 }
 
-std::string HttpGet(int port, const std::string& target) {
-  return HttpFetch(port, "GET " + target + " HTTP/1.1\r\nHost: karl\r\n\r\n");
-}
 
 TEST_F(ServerTest, AdminEndpointsServeUnderConcurrentTraffic) {
   ServerOptions options;
@@ -798,6 +983,10 @@ TEST_F(ServerTest, AdminEndpointsServeUnderConcurrentTraffic) {
   StartServerWith(std::move(options));
   const int admin_port = server_->admin_port();
   ASSERT_GT(admin_port, 0);
+  // Per-model series exist once their model has served a request.
+  Client first = Dial();
+  ASSERT_TRUE(first.Exact(queries_.Row(0)).ok());
+  HealthBarrier(first);
 
   // Keep query traffic in flight on the data plane while scraping.
   std::atomic<bool> stop{false};
@@ -818,8 +1007,10 @@ TEST_F(ServerTest, AdminEndpointsServeUnderConcurrentTraffic) {
   EXPECT_NE(metrics.find("HTTP/1.1 200"), std::string::npos);
   EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
   EXPECT_NE(metrics.find("karl_server_requests_total"), std::string::npos);
-  // Rolling stage histograms export cumulative + windowed twins...
-  EXPECT_NE(metrics.find("karl_server_total_us{quantile=\"0.95\"}"),
+  // Rolling stage histograms export cumulative + windowed views per
+  // model...
+  EXPECT_NE(metrics.find(
+                "karl_server_total_us{model=\"default\",quantile=\"0.95\"}"),
             std::string::npos);
   EXPECT_NE(metrics.find("karl_server_total_us_window60s"),
             std::string::npos);
@@ -1064,18 +1255,6 @@ std::string FreshModelDir(const std::string& name) {
   return dir;
 }
 
-Json ExactQueryRequest(std::span<const double> q,
-                       const std::string& model) {
-  Json row = Json::Array();
-  for (const double v : q) row.Append(Json::Number(v));
-  Json request = Json::Object()
-                     .Set("op", Json::Str("query"))
-                     .Set("kind", Json::Str("exact"))
-                     .Set("q", std::move(row));
-  if (!model.empty()) request.Set("model", Json::Str(model));
-  return request;
-}
-
 // Acceptance: a registry-backed server answers named queries with each
 // model's own engine, bit-identical to what a single-model server over
 // that engine would return; unnamed queries go to the default and
@@ -1225,11 +1404,11 @@ double MetricValue(const std::string& body, const std::string& series) {
 }
 
 // Acceptance (per-model observability): with two models under load,
-// /metrics exposes karl_serving_eval_us{model=...} per model (cumulative
-// and _window60s) whose counts reconcile exactly against the global
-// stage histogram, and /sloz shows the model violating its latency
-// objective burning error budget while the healthy model keeps a full
-// budget — with the burn WARN edge in the structured log.
+// /metrics exposes the stage histograms per model (cumulative and
+// _window60s) with exact per-model counts, and /sloz shows the model
+// violating its latency objective burning error budget while the
+// healthy model keeps a full budget — with the burn WARN edge in the
+// structured log.
 TEST_F(ServerTest, PerModelMetricsReconcileAndSloBudgetBurnsForSlowModel) {
   const Engine alpha = BuildRegistryModel(51, 400, 3.0);
   const Engine beta = BuildRegistryModel(53, 300, 2.0);
@@ -1279,26 +1458,21 @@ TEST_F(ServerTest, PerModelMetricsReconcileAndSloBudgetBurnsForSlowModel) {
     }
   }
 
-  // The labeled serving series reconcile against the global histogram:
-  // per-model counts are exact and sum to the unlabeled family.
-  const std::string metrics = HttpGet(admin_port, "/metrics");
-  const size_t metrics_body_at = metrics.find("\r\n\r\n");
-  ASSERT_NE(metrics_body_at, std::string::npos);
-  const std::string body = metrics.substr(metrics_body_at + 4);
-  const double alpha_count =
-      MetricValue(body, "karl_serving_eval_us_count{model=\"alpha\"}");
-  const double beta_count =
-      MetricValue(body, "karl_serving_eval_us_count{model=\"beta\"}");
-  const double global_count = MetricValue(body, "karl_server_eval_us_count");
-  EXPECT_EQ(alpha_count, static_cast<double>(kPerModel)) << body;
-  EXPECT_EQ(beta_count, static_cast<double>(kPerModel)) << body;
-  EXPECT_EQ(alpha_count + beta_count, global_count);
-  EXPECT_NE(body.find("karl_serving_eval_us{model=\"alpha\",quantile="),
+  // Per-model stage series carry exact per-model counts.
+  HealthBarrier(client);
+  const std::string body = AdminGet("/metrics");
+  EXPECT_EQ(MetricValue(body, "karl_server_eval_us_count{model=\"alpha\"}"),
+            static_cast<double>(kPerModel))
+      << body;
+  EXPECT_EQ(MetricValue(body, "karl_server_eval_us_count{model=\"beta\"}"),
+            static_cast<double>(kPerModel))
+      << body;
+  EXPECT_NE(body.find("karl_server_eval_us{model=\"alpha\",quantile="),
             std::string::npos);
   EXPECT_NE(
-      body.find("karl_serving_eval_us_window60s{model=\"beta\",quantile="),
+      body.find("karl_server_eval_us_window60s{model=\"beta\",quantile="),
       std::string::npos);
-  EXPECT_NE(body.find("karl_serving_requests_total{model=\"beta\"} 20"),
+  EXPECT_NE(body.find("karl_server_total_us_count{model=\"beta\"} 20"),
             std::string::npos);
   // Burn gauges exported with the full {model,slo,window} label set.
   EXPECT_NE(body.find("karl_slo_burn_rate{model=\"beta\",slo=\"latency\","
@@ -1352,6 +1526,88 @@ TEST_F(ServerTest, PerModelMetricsReconcileAndSloBudgetBurnsForSlowModel) {
     }
   }
   EXPECT_EQ(burn_lines, 1u);
+}
+
+// Acceptance (one series per event): N single queries served across
+// two models are each recorded exactly once — every serving and batch
+// family sums to exactly N over all its samples, no family mixes an
+// unlabeled series with labeled ones, and /statusz merges the per-model
+// stage histograms back into server-wide totals.
+TEST_F(ServerTest, EachServedQueryIsRecordedInExactlyOneSeries) {
+  const std::string dir = FreshModelDir("karl_server_one_series");
+  ASSERT_TRUE(registry::WriteSnapshot(dir + "/alpha.snap",
+                                      BuildRegistryModel(61, 400, 3.0))
+                  .ok());
+  ASSERT_TRUE(registry::WriteSnapshot(dir + "/beta.snap",
+                                      BuildRegistryModel(63, 300, 2.0))
+                  .ok());
+  registry::RegistryOptions registry_options;
+  registry_options.default_model = "alpha";
+  registry_options.metrics = &registry_;
+  auto models = registry::ModelRegistry::Open(dir, registry_options);
+  ASSERT_TRUE(models.ok()) << models.status().ToString();
+
+  ServerOptions options;
+  options.port = 0;
+  options.threads = 2;
+  options.metrics = &registry_;
+  options.admin_port = 0;
+  auto server = Server::StartWithRegistry(models.value().get(), options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  server_ = std::move(server).ValueOrDie();
+
+  constexpr size_t kQueries = 30;
+  Client client = Dial();
+  for (size_t i = 0; i < kQueries; ++i) {
+    // Alternate named and default-resolved requests over both models.
+    const char* model = i % 3 == 0 ? "beta" : (i % 3 == 1 ? "alpha" : "");
+    auto response =
+        client.RoundTrip(ExactQueryRequest(queries_.Row(i), model));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_NE(response.value().Find("value"), nullptr)
+        << response.value().Dump();
+  }
+  HealthBarrier(client);
+
+  const std::string body = AdminGet("/metrics");
+  for (const char* family :
+       {"karl_server_queries_total", "karl_batch_queries_total",
+        "karl_server_total_us_count", "karl_server_eval_us_count"}) {
+    EXPECT_EQ(FamilySum(body, family), static_cast<double>(kQueries))
+        << family << "\n"
+        << body;
+  }
+  EXPECT_EQ(MetricValue(body, "karl_server_total_us_count{model=\"beta\"}"),
+            static_cast<double>(kQueries / 3));
+  EXPECT_EQ(MetricValue(body, "karl_server_total_us_count{model=\"alpha\"}"),
+            static_cast<double>(kQueries - kQueries / 3));
+  const std::set<std::string> mixed = MixedFamilies(body);
+  EXPECT_TRUE(mixed.empty()) << *mixed.begin();
+
+  auto statusz = Json::Parse(AdminGet("/statusz"));
+  ASSERT_TRUE(statusz.ok()) << statusz.status().ToString();
+  const Json* stages = statusz.value().Find("stages");
+  ASSERT_NE(stages, nullptr);
+  for (const char* stage : {"read", "parse", "queue_wait", "coalesce_wait",
+                            "eval", "serialize", "write", "total"}) {
+    const Json* entry = stages->Find(stage);
+    ASSERT_NE(entry, nullptr) << stage;
+    EXPECT_EQ(entry->Find("count")->number_value(),
+              static_cast<double>(kQueries))
+        << stage;
+    for (const char* key : {"sum_us", "p50_us", "p95_us", "p99_us",
+                            "max_us"}) {
+      EXPECT_NE(entry->Find(key), nullptr) << stage << "." << key;
+    }
+    const Json* window = entry->Find("window60s");
+    ASSERT_NE(window, nullptr) << stage;
+    EXPECT_EQ(window->Find("count")->number_value(),
+              static_cast<double>(kQueries))
+        << stage;
+    for (const char* key : {"p50_us", "p95_us", "p99_us", "max_us"}) {
+      EXPECT_NE(window->Find(key), nullptr) << stage << ".window60s." << key;
+    }
+  }
 }
 
 }  // namespace

@@ -484,7 +484,8 @@ TEST(TraceRecorderTest, DroppedEventsSurfaceAsAMetricCounter) {
     recorder.InstantEvent("e", static_cast<uint64_t>(i), {});
   }
   EXPECT_EQ(recorder.dropped(), 3u);
-  EXPECT_EQ(registry.GetCounter("karl_trace_dropped_events")->value(), 3u);
+  EXPECT_EQ(registry.GetCounter("karl_trace_dropped_events_total")->value(),
+            3u);
 }
 
 TEST(RequestContextTest, StageDurationsSaturateAndChain) {
@@ -878,6 +879,44 @@ TEST(RegistryLabelsTest, LabeledRollingHistogramExposition) {
   EXPECT_EQ(type_lines, 1u);
   const std::string json = DumpJson(registry);
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+}
+
+// A family total merges every series of the family — and nothing from
+// a family that merely shares its prefix — into exactly what one
+// histogram fed every sample reports, quantiles included.
+TEST(RegistryLabelsTest, FamilyTotalMergesEverySeriesExactly) {
+  Registry registry;
+  RollingHistogram* a =
+      registry.GetRollingHistogram("karl_fam_us", LabelSet{{"model", "a"}});
+  RollingHistogram* b =
+      registry.GetRollingHistogram("karl_fam_us", LabelSet{{"model", "b"}});
+  registry.GetRollingHistogram("karl_fam_us_other")->Record(1e6);
+  Histogram reference;
+  for (int i = 1; i <= 200; ++i) {
+    const double v = 1.5 * i;
+    (i % 3 == 0 ? a : b)->Record(v);
+    reference.Record(v);
+  }
+  registry.GetCounter("karl_fam_total", LabelSet{{"model", "a"}})->Add(3);
+  registry.GetCounter("karl_fam_total", LabelSet{{"model", "b"}})->Add(4);
+  registry.GetCounter("karl_fam_total_other")->Add(100);
+
+  const RegistrySnapshot snap = registry.Snapshot();
+  const RollingHistogramSnapshot total = FamilyTotal(snap.rolling,
+                                                     "karl_fam_us");
+  const HistogramSnapshot want = reference.Snapshot();
+  for (const HistogramSnapshot* got : {&total.cumulative, &total.window}) {
+    EXPECT_EQ(got->count, want.count);
+    EXPECT_DOUBLE_EQ(got->sum, want.sum);
+    EXPECT_EQ(got->min, want.min);
+    EXPECT_EQ(got->max, want.max);
+    EXPECT_EQ(got->buckets, want.buckets);
+    for (const double q : {0.5, 0.95, 0.99}) {
+      EXPECT_EQ(got->Quantile(q), want.Quantile(q)) << q;
+    }
+  }
+  EXPECT_EQ(FamilyTotal(snap.counters, "karl_fam_total"), 7u);
+  EXPECT_EQ(FamilyTotal(snap.counters, "karl_fam_missing_total"), 0u);
 }
 
 TEST(RegistryLabelsTest, ConcurrentLabeledRecordsSurviveSeriesChurn) {

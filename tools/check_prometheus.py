@@ -23,11 +23,16 @@ Checked invariants:
     series of one family share a single declaration — and before any
     of that metric's samples
   * counters end in _total and gauge/counter samples are single-valued
+  * no family mixes an unlabeled series with labeled ones (the quantile
+    label of summaries ignored): every event is recorded in exactly one
+    series, so an unlabeled "total" next to per-model series counts each
+    event twice in any sum() over the family
 
 --self-test exercises the checker against built-in labeled fixtures
 (valid dimensional series must pass; duplicate label keys, bad
-escapes, duplicated TYPE lines, and misnamed counters must each be
-rejected) and exits non-zero on any miss.
+escapes, duplicated TYPE lines, misnamed counters and unlabeled twins
+of labeled families must each be rejected) and exits non-zero on any
+miss.
 
 The CI server-smoke job pipes `curl /metrics` through this script, so a
 malformed exposition fails the build rather than a scrape at 3am.
@@ -113,6 +118,7 @@ def check(stream):
     types = {}       # name -> type from # TYPE
     sampled = set()  # names that have emitted a sample already
     seen_names = set()
+    shapes = {}      # family -> set of "has labels" flags seen
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
         if not line.strip():
@@ -144,8 +150,9 @@ def check(stream):
             raise FormatError(lineno, f"unparseable sample line: {line!r}")
         name = match.group(0)
         rest = line[len(name):]
+        labels = {}
         if rest.startswith("{"):
-            _, rest = parse_labels(lineno, rest)
+            labels, rest = parse_labels(lineno, rest)
         fields = rest.split()
         if len(fields) not in (1, 2):
             raise FormatError(
@@ -172,22 +179,31 @@ def check(stream):
             if not base.endswith("_total"):
                 raise FormatError(
                     lineno, f"counter {base!r} does not end in _total")
+        shape = shapes.setdefault(base, set())
+        shape.add(bool(set(labels) - {"quantile"}))
+        if len(shape) == 2:
+            raise FormatError(
+                lineno, f"family {base!r} mixes unlabeled and labeled "
+                        f"series (each event must be recorded once)")
     return seen_names
 
 
 # (name, lines, expected-error substring or None for "must pass").
 SELF_TEST_FIXTURES = [
     ("labeled series", [
-        '# TYPE karl_serving_requests_total counter',
-        'karl_serving_requests_total{model="alpha"} 10',
-        'karl_serving_requests_total{model="beta"} 3',
-        '# TYPE karl_serving_eval_us summary',
-        'karl_serving_eval_us{model="alpha",quantile="0.99"} 120.5',
-        'karl_serving_eval_us_sum{model="alpha"} 4021',
-        'karl_serving_eval_us_count{model="alpha"} 10',
-        'karl_serving_eval_us_window60s{model="alpha"} 9',
+        '# TYPE karl_server_queries_total counter',
+        'karl_server_queries_total{model="alpha"} 10',
+        'karl_server_queries_total{model="beta"} 3',
+        '# TYPE karl_server_eval_us summary',
+        'karl_server_eval_us{model="alpha",quantile="0.99"} 120.5',
+        'karl_server_eval_us_sum{model="alpha"} 4021',
+        'karl_server_eval_us_count{model="alpha"} 10',
+        'karl_server_eval_us_window60s{model="alpha"} 9',
         '# TYPE karl_slo_burn_rate gauge',
         'karl_slo_burn_rate{model="alpha",slo="latency",window="fast"} 0.2',
+        '# TYPE karl_query_latency_usec summary',
+        'karl_query_latency_usec{quantile="0.5"} 3.5',
+        'karl_query_latency_usec_count 4',
     ], None),
     ("escaped values", [
         'weird_label{path="C:\\\\tmp",note="line\\nbreak",q="say \\"hi\\""} 1',
@@ -225,6 +241,11 @@ SELF_TEST_FIXTURES = [
     ("bad sample value", [
         'm{model="a"} fast',
     ], "bad sample value"),
+    ("unlabeled twin of a labeled family", [
+        '# TYPE karl_server_queries_total counter',
+        'karl_server_queries_total 100',
+        'karl_server_queries_total{model="default"} 100',
+    ], "mixes unlabeled and labeled"),
 ]
 
 

@@ -37,14 +37,12 @@
 //       Offline-tunes the index configuration and reports the grid.
 //   remote-query  --port P [--host 127.0.0.1] --queries <file.csv>
 //                 (--tau T | --eps E | --exact) [--limit N] [--batch]
-//                 [--metrics-out <file>] | --statusz
 //       Issues the query rows against a running karl_server (see
 //       tools/karl_server.cc) over the newline-delimited JSON
 //       protocol; output format matches the local `query` subcommand.
-//       --batch sends one batch request instead of per-row queries;
-//       --metrics-out scrapes the server's /metrics afterwards.
-//       --statusz skips querying and prints the server's statusz
-//       document (uptime, stage latency quantiles, flight recorder).
+//       --batch sends one batch request instead of per-row queries.
+//       The server's metrics and status come from its HTTP admin plane
+//       (karl_server --admin-port: GET /metrics, /statusz).
 //
 // Exit status: 0 on success, 1 on usage or runtime errors.
 
@@ -356,22 +354,10 @@ int RunRemoteQuery(const ParsedArgs& args) {
   const auto port = args.GetInt("port", 0);
   const std::string query_path = args.GetString("queries");
   if (!port.ok()) return Fail(port.status().ToString());
-  if (args.Has("statusz")) {
-    // Status scrape only: print the server's statusz JSON and exit —
-    // no query file needed.
-    if (port.value() <= 0) return Fail("remote-query requires --port");
-    auto client = karl::server::Client::Connect(
-        host, static_cast<int>(port.value()));
-    if (!client.ok()) return Fail(client.status().ToString());
-    auto statusz = client.value().Statusz();
-    if (!statusz.ok()) return Fail(statusz.status().ToString());
-    std::printf("%s\n", statusz.value().c_str());
-    return 0;
-  }
   if (port.value() <= 0 || query_path.empty()) {
     return Fail(
         "remote-query requires --port <port> --queries <file.csv> and one "
-        "of --tau/--eps/--exact (or --statusz to scrape server status)");
+        "of --tau/--eps/--exact");
   }
   const bool threshold_mode = args.Has("tau");
   const bool approx_mode = args.Has("eps");
@@ -386,7 +372,6 @@ int RunRemoteQuery(const ParsedArgs& args) {
   if (!tau.ok()) return Fail(tau.status().ToString());
   if (!eps.ok()) return Fail(eps.status().ToString());
   const bool batch = args.Has("batch");
-  const std::string metrics_out = args.GetString("metrics-out");
 
   auto queries = karl::data::ReadCsvFile(query_path);
   if (!queries.ok()) return Fail(queries.status().ToString());
@@ -442,19 +427,6 @@ int RunRemoteQuery(const ParsedArgs& args) {
   std::fprintf(stderr, "%zu remote queries in %.3fs (%.0f q/s, %s)\n", count,
                elapsed, count / std::max(elapsed, 1e-9),
                batch ? "one batch request" : "per-row requests");
-
-  if (!metrics_out.empty()) {
-    auto metrics = client.value().Metrics();
-    if (!metrics.ok()) return Fail(metrics.status().ToString());
-    std::FILE* f = std::fopen(metrics_out.c_str(), "wb");
-    if (f == nullptr) {
-      return Fail("cannot open '" + metrics_out + "' for writing");
-    }
-    std::fwrite(metrics.value().data(), 1, metrics.value().size(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "server metrics written to %s\n",
-                 metrics_out.c_str());
-  }
   return 0;
 }
 
