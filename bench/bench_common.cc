@@ -10,6 +10,7 @@
 #include <ctime>
 #include <memory>
 
+#include "core/batch.h"
 #include "core/evaluator.h"
 #include "data/normalize.h"
 #include "ml/kde.h"
@@ -329,14 +330,15 @@ double MeasureBatchThroughput(const Workload& w, const core::QuerySpec& spec,
   std::unique_ptr<util::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
 
+  core::BatchOptions batch_options;
+  batch_options.pool = pool.get();
+  const core::BatchEvaluator batch(engine.value(), batch_options);
   util::Stopwatch timer;
   if (spec.kind == core::QuerySpec::Kind::kThreshold) {
-    const auto out =
-        engine.value().TkaqBatch(w.queries, spec.tau, pool.get());
+    const auto out = batch.Tkaq(w.queries, spec.tau);
     (void)out;
   } else {
-    const auto out =
-        engine.value().EkaqBatch(w.queries, spec.eps, pool.get());
+    const auto out = batch.Ekaq(w.queries, spec.eps);
     (void)out;
   }
   const double qps = static_cast<double>(w.queries.rows()) /

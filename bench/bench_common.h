@@ -92,7 +92,7 @@ double MeasureLibsvmThroughput(const Workload& w,
 double MeasureEngineThroughput(const Workload& w, const core::QuerySpec& spec,
                                const EngineOptions& options);
 
-/// Runs the query set through Engine::TkaqBatch / EkaqBatch fanned over
+/// Runs the query set through core::BatchEvaluator Tkaq / Ekaq fanned over
 /// `threads` pool workers (1 = serial batch path, no pool). Records
 /// gauge "karl_bench_batch_qps_<dataset>_threads_<N>". Results are
 /// bit-identical to MeasureEngineThroughput's serial loop, so the two

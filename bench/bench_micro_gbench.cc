@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/batch.h"
 #include "core/bounds.h"
 #include "core/evaluator.h"
 #include "core/karl.h"
@@ -192,8 +193,11 @@ void BM_BatchTkaq(benchmark::State& state) {
 
   std::unique_ptr<karl::util::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<karl::util::ThreadPool>(threads);
+  karl::core::BatchOptions batch_options;
+  batch_options.pool = pool.get();
+  const karl::core::BatchEvaluator batch(engine, batch_options);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.TkaqBatch(queries, tau, pool.get()));
+    benchmark::DoNotOptimize(batch.Tkaq(queries, tau));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(queries.rows()));

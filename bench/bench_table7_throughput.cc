@@ -15,7 +15,7 @@
 // method ORDER and speedup factors, not absolute numbers.
 //
 // A trailing "Batch scaling" section measures the parallel batch engine
-// (Engine::TkaqBatch over a worker pool) on the Type-I Gaussian "home"
+// (core::BatchEvaluator over a worker pool) on the Type-I Gaussian "home"
 // workload at 1 thread vs --threads=N (or KARL_BENCH_THREADS; default
 // 1 skips the section) and reports the speedup.
 
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
   // results by construction (see core/batch.h), so the ratio is pure
   // scheduling/throughput.
   if (batch_threads > 1) {
-    std::printf("\nBatch scaling (TkaqBatch, Type I Gaussian, \"home\")\n\n");
+    std::printf("\nBatch scaling (batch TKAQ, Type I Gaussian, \"home\")\n\n");
     karl::bench::PrintTableHeader(
         {"dataset", "threads=1", "threads=N", "N", "speedup"});
     const Workload w = karl::bench::MakeTypeIWorkload("home", nq);

@@ -145,58 +145,4 @@ std::vector<double> BatchEvaluator::Exact(const data::Matrix& queries,
   return Run<double>(queries, stats, per_query);
 }
 
-std::vector<uint8_t> DynamicEngine::TkaqBatch(const data::Matrix& queries,
-                                              double tau,
-                                              util::ThreadPool* pool,
-                                              EvalStats* stats) const {
-  BatchOptions options;
-  options.pool = pool;
-  return BatchEvaluator(*this, options).Tkaq(queries, tau, stats);
-}
-
-std::vector<double> DynamicEngine::EkaqBatch(const data::Matrix& queries,
-                                             double eps,
-                                             util::ThreadPool* pool,
-                                             EvalStats* stats) const {
-  BatchOptions options;
-  options.pool = pool;
-  return BatchEvaluator(*this, options).Ekaq(queries, eps, stats);
-}
-
-std::vector<double> DynamicEngine::ExactBatch(const data::Matrix& queries,
-                                              util::ThreadPool* pool,
-                                              EvalStats* stats) const {
-  BatchOptions options;
-  options.pool = pool;
-  return BatchEvaluator(*this, options).Exact(queries, stats);
-}
-
 }  // namespace karl::core
-
-namespace karl {
-
-std::vector<uint8_t> Engine::TkaqBatch(const data::Matrix& queries,
-                                       double tau, util::ThreadPool* pool,
-                                       core::EvalStats* stats) const {
-  core::BatchOptions options;
-  options.pool = pool;
-  return core::BatchEvaluator(*this, options).Tkaq(queries, tau, stats);
-}
-
-std::vector<double> Engine::EkaqBatch(const data::Matrix& queries, double eps,
-                                      util::ThreadPool* pool,
-                                      core::EvalStats* stats) const {
-  core::BatchOptions options;
-  options.pool = pool;
-  return core::BatchEvaluator(*this, options).Ekaq(queries, eps, stats);
-}
-
-std::vector<double> Engine::ExactBatch(const data::Matrix& queries,
-                                       util::ThreadPool* pool,
-                                       core::EvalStats* stats) const {
-  core::BatchOptions options;
-  options.pool = pool;
-  return core::BatchEvaluator(*this, options).Exact(queries, stats);
-}
-
-}  // namespace karl

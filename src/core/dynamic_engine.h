@@ -26,10 +26,6 @@
 #include "util/mutex.h"
 #include "util/status.h"
 
-namespace karl::util {
-class ThreadPool;
-}  // namespace karl::util
-
 namespace karl::core {
 
 /// Stable identifier of an inserted point.
@@ -38,16 +34,15 @@ using PointId = uint64_t;
 /// Mutable engine over a weighted point multiset.
 ///
 /// Thread safety: internally synchronised by a reader/writer lock.
-/// Queries (Tkaq/Ekaq/Exact and their *Batch forms) take the lock
-/// shared, so any number of threads may query concurrently;
-/// Insert/Remove take it exclusively and may interleave with queries
-/// from other threads. A *Batch call locks per row (never across the
-/// pool fan-out — holding a reader lock across ParallelFor while a
-/// writer is queued would deadlock the pool), so a batch overlapping a
-/// mutation sees each row against the multiset current at that row.
-/// As with Engine, one EvalStats object must not be shared across
-/// concurrent callers; the *Batch methods merge per-worker
-/// accumulators instead.
+/// Queries (Tkaq/Ekaq/Exact) take the lock shared, so any number of
+/// threads may query concurrently; Insert/Remove take it exclusively and
+/// may interleave with queries from other threads. A batch
+/// (core::BatchEvaluator) locks per row (never across the pool fan-out —
+/// holding a reader lock across ParallelFor while a writer is queued
+/// would deadlock the pool), so a batch overlapping a mutation sees each
+/// row against the multiset current at that row. As with Engine, one
+/// EvalStats object must not be shared across concurrent callers; the
+/// batch evaluator merges per-worker accumulators instead.
 class DynamicEngine {
  public:
   struct Options {
@@ -92,23 +87,6 @@ class DynamicEngine {
   /// Exact F(q) over the current multiset.
   double Exact(std::span<const double> q, EvalStats* stats = nullptr) const
       KARL_EXCLUDES(mu_);
-
-  /// Batch TKAQ over every row of `queries`, fanned across `pool` (null
-  /// runs serially); bit-identical to the serial loop for any thread
-  /// count. See core::BatchEvaluator (core/batch.h).
-  std::vector<uint8_t> TkaqBatch(const data::Matrix& queries, double tau,
-                                 util::ThreadPool* pool = nullptr,
-                                 EvalStats* stats = nullptr) const;
-
-  /// Batch eKAQ over the current multiset.
-  std::vector<double> EkaqBatch(const data::Matrix& queries, double eps,
-                                util::ThreadPool* pool = nullptr,
-                                EvalStats* stats = nullptr) const;
-
-  /// Batch exact aggregation over the current multiset.
-  std::vector<double> ExactBatch(const data::Matrix& queries,
-                                 util::ThreadPool* pool = nullptr,
-                                 EvalStats* stats = nullptr) const;
 
   /// Options the engine was created with (immutable, lock-free).
   const Options& options() const { return options_; }

@@ -26,10 +26,6 @@
 #include "index/tree_index.h"
 #include "util/status.h"
 
-namespace karl::util {
-class ThreadPool;
-}  // namespace karl::util
-
 namespace karl {
 
 /// Weighting taxonomy of paper Table I.
@@ -66,7 +62,7 @@ struct EngineOptions {
 #endif
   /// Telemetry sinks, forwarded to the evaluator and also fed by
   /// Engine::Build itself (build time, index memory, weighting-type
-  /// counts). Non-owning, runtime-only — engine_io does not serialize
+  /// counts). Non-owning, runtime-only — snapshots do not serialize
   /// them — and null disables instrumentation entirely.
   telemetry::Registry* metrics = nullptr;
   telemetry::TraceRecorder* tracer = nullptr;
@@ -76,11 +72,11 @@ struct EngineOptions {
 /// weighted dataset.
 ///
 /// Thread safety: an Engine is immutable after Build, and every const
-/// query method (Tkaq/Ekaq/Exact and their *Batch forms) is safe to call
-/// concurrently from any number of threads. Concurrent callers must not
-/// share one EvalStats object across threads (its counters are plain
-/// integers); the *Batch methods handle this with per-worker
-/// accumulators merged once per batch.
+/// query method (Tkaq/Ekaq/Exact) is safe to call concurrently from any
+/// number of threads. Concurrent callers must not share one EvalStats
+/// object across threads (its counters are plain integers); batches go
+/// through core::BatchEvaluator (core/batch.h), which fans rows across
+/// a pool with per-worker accumulators merged once per batch.
 class Engine {
  public:
   /// Builds indexes over `points` with per-point `weights` (any weighting
@@ -126,25 +122,6 @@ class Engine {
                core::EvalStats* stats = nullptr) const {
     return evaluator_->QueryExact(q, stats);
   }
-
-  /// Batch TKAQ over every row of `queries`, fanned across `pool`
-  /// (null runs serially): out[i] = (F(q_i) > tau). Results are
-  /// bit-identical to the serial loop for any thread count; see
-  /// core::BatchEvaluator (core/batch.h) for chunk control and the
-  /// determinism/stats contract.
-  std::vector<uint8_t> TkaqBatch(const data::Matrix& queries, double tau,
-                                 util::ThreadPool* pool = nullptr,
-                                 core::EvalStats* stats = nullptr) const;
-
-  /// Batch eKAQ: out[i] = F̂(q_i) within relative error eps.
-  std::vector<double> EkaqBatch(const data::Matrix& queries, double eps,
-                                util::ThreadPool* pool = nullptr,
-                                core::EvalStats* stats = nullptr) const;
-
-  /// Batch exact aggregation by full scan per query.
-  std::vector<double> ExactBatch(const data::Matrix& queries,
-                                 util::ThreadPool* pool = nullptr,
-                                 core::EvalStats* stats = nullptr) const;
 
   /// The detected weighting type.
   WeightingType weighting_type() const { return weighting_type_; }

@@ -177,8 +177,8 @@ util::Status TreeIndex::AttachShared(const TreeIndexView& view) {
   sqnorm_sums_ = view.sqnorm_sums;
   point_sums_ = view.point_sums;
 
-  // The SoA mirror is derived state and always rebuilt (same contract as
-  // LoadEngine): it is the only per-model allocation of an attach.
+  // The SoA mirror is derived state and always rebuilt (snapshots do
+  // not store it): it is the only per-model allocation of an attach.
   soa_.Build(points_, weights_);
   return util::Status::OK();
 }

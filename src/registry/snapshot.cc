@@ -9,6 +9,7 @@
 #include <bit>
 #include <cerrno>
 #include <cstddef>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <utility>
@@ -152,9 +153,9 @@ util::Status WriteSection(std::ostream& out, Fnv64& hasher, size_t* cur,
   return util::Status::OK();
 }
 
-}  // namespace
-
-util::Status WriteSnapshot(const std::string& path, const Engine& engine) {
+// Serializes `engine` to `out`, which must be seekable (the checksum is
+// patched into the header last).
+util::Status WriteSnapshotStream(std::ostream& out, const Engine& engine) {
   const index::TreeIndex* trees[2] = {&engine.plus_tree(),
                                       engine.minus_tree()};
   const size_t num_trees = trees[1] != nullptr ? 2 : 1;
@@ -196,11 +197,6 @@ util::Status WriteSnapshot(const std::string& path, const Engine& engine) {
     PutU64(header, at + 16, trees[t]->max_depth());
   }
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return util::Status::IOError("cannot open " + path + " for writing: " +
-                                 util::ErrnoString(errno));
-  }
   Fnv64 hasher;
   hasher.Update(header, sizeof(header));
   out.write(reinterpret_cast<const char*>(header), sizeof(header));
@@ -254,8 +250,38 @@ util::Status WriteSnapshot(const std::string& path, const Engine& engine) {
   const uint64_t checksum = hasher.h;
   out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
   out.flush();
+  if (!out) return util::Status::IOError("snapshot write failed");
+  return util::Status::OK();
+}
+
+}  // namespace
+
+util::Status WriteSnapshot(const std::string& path, const Engine& engine) {
+  // Write-to-temp + rename: an engine attached over the old file keeps
+  // its mapping of the old inode, whereas truncating the file in place
+  // would SIGBUS that engine's next page fault. The temp file sits in
+  // the same directory (rename is atomic only within one file system)
+  // and is pid-qualified so concurrent writers do not share it.
+  const std::string tmp = path + ".tmp-" + std::to_string(::getpid());
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (!out) {
-    return util::Status::IOError("snapshot write to " + path + " failed");
+    return util::Status::IOError("cannot open " + tmp + " for writing: " +
+                                 util::ErrnoString(errno));
+  }
+  util::Status status = WriteSnapshotStream(out, engine);
+  out.close();
+  if (status.ok() && !out) {
+    status = util::Status::IOError("snapshot write failed");
+  }
+  if (status.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    const int err = errno;
+    status = util::Status::IOError("cannot rename " + tmp + ": " +
+                                   util::ErrnoString(err));
+  }
+  if (!status.ok()) {
+    std::remove(tmp.c_str());
+    return util::Status(status.code(),
+                        "writing snapshot " + path + ": " + status.message());
   }
   return util::Status::OK();
 }
@@ -300,7 +326,7 @@ util::Result<MappedSnapshot> MappedSnapshot::Map(const std::string& path) {
     ::close(fd);
     return util::Status::InvalidArgument(
         "truncated snapshot " + path + ": " + std::to_string(bytes) +
-        " bytes is smaller than the header");
+        " bytes is smaller than the header (rebuild it with `karl build`)");
   }
   void* map = ::mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE, fd, 0);
   const int map_err = errno;
@@ -315,7 +341,7 @@ util::Result<MappedSnapshot> MappedSnapshot::Map(const std::string& path) {
   snap.bytes_ = bytes;
   snap.path_ = path;
   KARL_RETURN_NOT_OK(snap.Parse());  // Destructor unmaps on failure.
-  return std::move(snap);
+  return snap;
 }
 
 util::Status MappedSnapshot::Parse() {
@@ -325,7 +351,8 @@ util::Status MappedSnapshot::Parse() {
   };
 
   if (GetU32(base, kOffMagic) != kSnapshotMagic) {
-    return reject("bad magic (not a KARL snapshot)");
+    return reject(
+        "bad magic: not a KARL snapshot (rebuild it with `karl build`)");
   }
   if (GetU32(base, kOffVersion) != kSnapshotVersion) {
     return reject("unsupported format version " +

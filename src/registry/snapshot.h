@@ -1,4 +1,4 @@
-// Zero-deserialization engine snapshots.
+// Zero-deserialization engine snapshots — the on-disk model format.
 //
 // A snapshot is a flat, pointer-free, little-endian binary image of a
 // *built* engine: the tree node arrays, the permuted point matrix, the
@@ -7,8 +7,7 @@
 // the node region geometry, each stored as a 64-byte-aligned,
 // offset-addressed section. An engine is *constructed over* the mapping
 // with mmap(2): no point matrix or tree copy is made — only the derived
-// blocked SoA leaf mirror is rebuilt, exactly as LoadEngine rebuilds it
-// from the legacy format today.
+// blocked SoA leaf mirror is rebuilt.
 //
 // On-disk layout (all integers little-endian; doubles IEEE-754):
 //
@@ -26,10 +25,10 @@
 // file size.
 //
 // Determinism and portability: index construction is deterministic, so
-// compile-snapshot produces identical bytes for identical inputs. As
-// with the legacy format, a snapshot written on one SIMD tier loads on
-// any other (the SoA mirror is rebuilt); answers are then subject to the
-// core/simd tolerance contract rather than bit-equality.
+// `karl build` produces identical bytes for identical inputs. A snapshot
+// written on one SIMD tier loads on any other (the SoA mirror is
+// rebuilt); answers are then subject to the core/simd tolerance
+// contract rather than bit-equality.
 
 #ifndef KARL_REGISTRY_SNAPSHOT_H_
 #define KARL_REGISTRY_SNAPSHOT_H_
@@ -52,7 +51,9 @@ inline constexpr size_t kSnapshotSectionAlign = 64;
 inline constexpr size_t kSnapshotChecksumOffset = 80;
 
 /// Serializes a built engine to `path`. The engine may itself be
-/// attached (re-snapshotting round-trips). Overwrites any existing file.
+/// attached (re-snapshotting round-trips). Replaces any existing file
+/// atomically (write to a temp file beside it, then rename), so engines
+/// still attached over the old file keep answering from its mapping.
 util::Status WriteSnapshot(const std::string& path, const Engine& engine);
 
 /// A validated, read-only mmap(2) of a snapshot file.
@@ -60,9 +61,10 @@ util::Status WriteSnapshot(const std::string& path, const Engine& engine);
 /// Map() maps the file, verifies magic/version/size/checksum, and
 /// resolves the per-tree section views; every failure names the path.
 /// The mapping (and therefore every engine attached over it) stays valid
-/// until destruction — including after the file is unlinked, per POSIX
-/// mmap semantics. Truncating a live snapshot file in place is NOT safe
-/// (SIGBUS on fault); replace-by-rename and reload instead.
+/// until destruction — including after the file is unlinked or replaced
+/// by rename (WriteSnapshot does that), per POSIX mmap semantics.
+/// Truncating a live snapshot file in place is NOT safe (SIGBUS on
+/// fault).
 class MappedSnapshot {
  public:
   static util::Result<MappedSnapshot> Map(const std::string& path);

@@ -42,6 +42,15 @@ using core::BatchOptions;
 using core::EvalStats;
 using core::KernelParams;
 
+// A batch evaluator over `engine` fanned across `pool` (null: serial).
+template <typename EngineT>
+BatchEvaluator Batch(const EngineT& engine,
+                     util::ThreadPool* pool = nullptr) {
+  BatchOptions options;
+  options.pool = pool;
+  return BatchEvaluator(engine, options);
+}
+
 size_t TestThreads() {
   const char* env = std::getenv("KARL_TEST_THREADS");
   if (env != nullptr) {
@@ -133,8 +142,8 @@ TEST_P(BatchDeterminismTest, BatchMatchesSerialBitExactly) {
 
   for (const size_t threads : {size_t{1}, size_t{2}, TestThreads()}) {
     util::ThreadPool pool(threads);
-    const auto tkaq = engine.value().TkaqBatch(queries, tau, &pool);
-    const auto exact = engine.value().ExactBatch(queries, &pool);
+    const auto tkaq = Batch(engine.value(), &pool).Tkaq(queries, tau);
+    const auto exact = Batch(engine.value(), &pool).Exact(queries);
     ASSERT_EQ(tkaq.size(), n);
     ASSERT_EQ(exact.size(), n);
     for (size_t i = 0; i < n; ++i) {
@@ -143,7 +152,7 @@ TEST_P(BatchDeterminismTest, BatchMatchesSerialBitExactly) {
           << "threads=" << threads << " i=" << i;
     }
     if (bc.weighting != 3) {
-      const auto ekaq = engine.value().EkaqBatch(queries, eps, &pool);
+      const auto ekaq = Batch(engine.value(), &pool).Ekaq(queries, eps);
       ASSERT_EQ(ekaq.size(), n);
       for (size_t i = 0; i < n; ++i) {
         EXPECT_EQ(ekaq[i], serial_ekaq[i])
@@ -153,8 +162,8 @@ TEST_P(BatchDeterminismTest, BatchMatchesSerialBitExactly) {
   }
 
   // Null pool: the serial batch path is the same loop too.
-  EXPECT_EQ(engine.value().TkaqBatch(queries, tau), serial_tkaq);
-  EXPECT_EQ(engine.value().ExactBatch(queries), serial_exact);
+  EXPECT_EQ(Batch(engine.value()).Tkaq(queries, tau), serial_tkaq);
+  EXPECT_EQ(Batch(engine.value()).Exact(queries), serial_exact);
 }
 
 std::string BatchCaseName(const ::testing::TestParamInfo<BatchCase>& info) {
@@ -210,7 +219,7 @@ TEST(BatchEvaluatorTest, ChunkSizeNeverChangesResults) {
   ASSERT_TRUE(fx.engine.ok()) << fx.engine.status().ToString();
   util::ThreadPool pool(TestThreads());
 
-  const auto reference = fx.engine.value().ExactBatch(fx.queries);
+  const auto reference = Batch(fx.engine.value()).Exact(fx.queries);
   for (const size_t chunk :
        {size_t{0}, size_t{1}, size_t{3}, size_t{1000}}) {
     BatchOptions options;
@@ -219,7 +228,7 @@ TEST(BatchEvaluatorTest, ChunkSizeNeverChangesResults) {
     const BatchEvaluator batch(fx.engine.value(), options);
     EXPECT_EQ(batch.Exact(fx.queries), reference) << "chunk=" << chunk;
     EXPECT_EQ(batch.Tkaq(fx.queries, 0.5),
-              fx.engine.value().TkaqBatch(fx.queries, 0.5))
+              Batch(fx.engine.value()).Tkaq(fx.queries, 0.5))
         << "chunk=" << chunk;
   }
 }
@@ -243,7 +252,7 @@ TEST(BatchEvaluatorTest, MergedStatsEqualSerialStatsExactly) {
   for (const size_t threads : {size_t{2}, TestThreads()}) {
     util::ThreadPool pool(threads);
     EvalStats batched;
-    (void)fx.engine.value().TkaqBatch(fx.queries, 0.5, &pool, &batched);
+    (void)Batch(fx.engine.value(), &pool).Tkaq(fx.queries, 0.5, &batched);
     EXPECT_EQ(batched.iterations, serial.iterations) << "threads=" << threads;
     EXPECT_EQ(batched.nodes_expanded, serial.nodes_expanded)
         << "threads=" << threads;
@@ -268,7 +277,7 @@ TEST(BatchEvaluatorTest, InstrumentedBatchUnderConcurrencyIsCoherent) {
 
   util::ThreadPool pool(TestThreads());
   EvalStats batched;
-  const auto out = fx.engine.value().ExactBatch(fx.queries, &pool, &batched);
+  const auto out = Batch(fx.engine.value(), &pool).Exact(fx.queries, &batched);
   ASSERT_EQ(out.size(), fx.queries.rows());
   EXPECT_EQ(batched.kernel_evals, serial.kernel_evals);
 
@@ -287,9 +296,9 @@ TEST(BatchEvaluatorTest, ManyBatchesShareOneEngineAndPool) {
   BatchFixture fx;
   ASSERT_TRUE(fx.engine.ok()) << fx.engine.status().ToString();
   util::ThreadPool pool(TestThreads());
-  const auto reference = fx.engine.value().ExactBatch(fx.queries);
+  const auto reference = Batch(fx.engine.value()).Exact(fx.queries);
   for (int round = 0; round < 25; ++round) {
-    ASSERT_EQ(fx.engine.value().ExactBatch(fx.queries, &pool), reference)
+    ASSERT_EQ(Batch(fx.engine.value(), &pool).Exact(fx.queries), reference)
         << "round " << round;
   }
 }
@@ -300,15 +309,14 @@ TEST(BatchEvaluatorTest, ConcurrentCallersOnOneEngine) {
   // query surface itself (no pool involved, pure shared-read).
   BatchFixture fx;
   ASSERT_TRUE(fx.engine.ok()) << fx.engine.status().ToString();
-  const auto reference = fx.engine.value().ExactBatch(fx.queries);
+  const auto reference = Batch(fx.engine.value()).Exact(fx.queries);
 
   std::vector<std::thread> callers;
   std::vector<int> mismatches(4, 0);
   for (int t = 0; t < 4; ++t) {
     callers.emplace_back([&fx, &reference, &mismatches, t] {
       EvalStats stats;  // Thread-private, per the contract.
-      const auto out = fx.engine.value().ExactBatch(
-          fx.queries, /*pool=*/nullptr, &stats);
+      const auto out = Batch(fx.engine.value()).Exact(fx.queries, &stats);
       if (out != reference) mismatches[t] = 1;
     });
   }
@@ -372,12 +380,12 @@ TEST(BatchEvaluatorTest, CrossTierBatchResultsAgreeWithinContract) {
   const simd::Tier saved = simd::ActiveTier();
 
   simd::ForceTier(simd::Tier::kScalar);
-  const auto scalar = fx.engine.value().ExactBatch(fx.queries);
+  const auto scalar = Batch(fx.engine.value()).Exact(fx.queries);
 
   for (const simd::Tier tier : {simd::Tier::kAvx2, simd::Tier::kAvx512}) {
     if (!simd::TierSupported(tier)) continue;
     simd::ForceTier(tier);
-    const auto vec = fx.engine.value().ExactBatch(fx.queries);
+    const auto vec = Batch(fx.engine.value()).Exact(fx.queries);
     ASSERT_EQ(vec.size(), scalar.size());
     for (size_t i = 0; i < vec.size(); ++i) {
       // Fixture weights are positive, so |exact| is the absolute mass;
@@ -422,11 +430,11 @@ TEST(DynamicBatchTest, BatchMatchesSerialAcrossMutations) {
       serial_ekaq[i] = engine.value()->Ekaq(queries.Row(i), 0.2);
       serial_exact[i] = engine.value()->Exact(queries.Row(i));
     }
-    EXPECT_EQ(engine.value()->TkaqBatch(queries, 1.0, &pool), serial_tkaq)
+    EXPECT_EQ(Batch(*engine.value(), &pool).Tkaq(queries, 1.0), serial_tkaq)
         << phase;
-    EXPECT_EQ(engine.value()->EkaqBatch(queries, 0.2, &pool), serial_ekaq)
+    EXPECT_EQ(Batch(*engine.value(), &pool).Ekaq(queries, 0.2), serial_ekaq)
         << phase;
-    EXPECT_EQ(engine.value()->ExactBatch(queries, &pool), serial_exact)
+    EXPECT_EQ(Batch(*engine.value(), &pool).Exact(queries), serial_exact)
         << phase;
   };
   check("after inserts");

@@ -346,8 +346,8 @@ TEST(LinearBoundProperty, RandomIntervalsSandwichProfiles) {
 
 // P6: randomised batch cross-check. Fuzzes (kernel, γ/β/degree, τ or ε,
 // thread count) and verifies the *parallel batch* answers against
-// brute-force exact aggregation: TkaqBatch == (exact > τ) outside the
-// refinement noise floor, EkaqBatch within (1±ε), and ExactBatch equal
+// brute-force exact aggregation: batch TKAQ == (exact > τ) outside the
+// refinement noise floor, batch eKAQ within (1±ε), and batch exact equal
 // to brute force up to accumulation-order tolerance. This closes the
 // loop the deterministic suites can't: batch correctness on parameter
 // combinations nobody hand-picked.
@@ -405,12 +405,15 @@ TEST(BatchQueryProperty, RandomisedBatchMatchesBruteForce) {
 
     for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
       util::ThreadPool pool(threads);
+      core::BatchOptions batch_options;
+      batch_options.pool = &pool;
+      const core::BatchEvaluator batch(engine.value(), batch_options);
 
       // Random τ around the exact values of this batch.
       const double tau = exact[static_cast<size_t>(
                              rng.Uniform(0.0, 11.99))] *
                          rng.Uniform(0.6, 1.4);
-      const auto tkaq = engine.value().TkaqBatch(queries, tau, &pool);
+      const auto tkaq = batch.Tkaq(queries, tau);
       for (size_t i = 0; i < queries.rows(); ++i) {
         const double noise_floor = 1e-12 * (1.0 + std::abs(exact[i]));
         if (std::abs(exact[i] - tau) <= noise_floor) continue;
@@ -419,7 +422,7 @@ TEST(BatchQueryProperty, RandomisedBatchMatchesBruteForce) {
             << " tau=" << tau << " exact=" << exact[i];
       }
 
-      const auto brute = engine.value().ExactBatch(queries, &pool);
+      const auto brute = batch.Exact(queries);
       for (size_t i = 0; i < queries.rows(); ++i) {
         EXPECT_NEAR(brute[i], exact[i], 1e-9 * (1.0 + std::abs(exact[i])))
             << "trial=" << trial << " threads=" << threads << " i=" << i;
@@ -427,7 +430,7 @@ TEST(BatchQueryProperty, RandomisedBatchMatchesBruteForce) {
 
       if (weighting != 3) {
         const double eps = rng.Uniform(0.05, 0.4);
-        const auto ekaq = engine.value().EkaqBatch(queries, eps, &pool);
+        const auto ekaq = batch.Ekaq(queries, eps);
         for (size_t i = 0; i < queries.rows(); ++i) {
           EXPECT_LE(std::abs(ekaq[i] - exact[i]),
                     eps * std::abs(exact[i]) + 1e-10)

@@ -1,18 +1,19 @@
 // Tests for the model registry subsystem: snapshot round trips over
-// mmap, corruption rejection, lazy loading, LRU eviction with pinning,
-// and RCU-style hot reload.
+// mmap, corruption rejection, atomic overwrite of live snapshots, lazy
+// loading, LRU eviction with pinning, and RCU-style hot reload.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/engine_io.h"
 #include "util/check.h"
 #include "core/karl.h"
 #include "data/synthetic.h"
@@ -113,6 +114,18 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+// Re-stamps the whole-file FNV-1a checksum (hashed with the checksum
+// field zeroed) so a corrupted field gets past the checksum gate.
+void RestampChecksum(std::string* bytes) {
+  std::memset(bytes->data() + kSnapshotChecksumOffset, 0, sizeof(uint64_t));
+  uint64_t h = 14695981039346656037ull;
+  for (const char c : *bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  std::memcpy(bytes->data() + kSnapshotChecksumOffset, &h, sizeof(h));
+}
+
 // ---------------------------------------------------------------------
 // Snapshot format.
 // ---------------------------------------------------------------------
@@ -163,7 +176,8 @@ TEST(SnapshotTest, BallTypeIIRoundTripAnswersIdentically) {
 TEST(SnapshotTest, AllKernelAndIndexVariantsRoundTrip) {
   TempDir dir("karl_snap_variants");
   for (const auto kernel :
-       {core::KernelParams::Gaussian(2.0), core::KernelParams::Cauchy(4.0),
+       {core::KernelParams::Gaussian(2.0), core::KernelParams::Laplacian(1.5),
+        core::KernelParams::Cauchy(4.0),
         core::KernelParams::Polynomial(0.3, 0.7, 5),
         core::KernelParams::Sigmoid(0.9, -0.4)}) {
     for (const auto kind :
@@ -175,8 +189,12 @@ TEST(SnapshotTest, AllKernelAndIndexVariantsRoundTrip) {
       ASSERT_TRUE(WriteSnapshot(path, original).ok());
       auto snapshot = MappedSnapshot::Map(path);
       ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-      EXPECT_EQ(snapshot.value().options().kernel.type, kernel.type);
-      EXPECT_EQ(snapshot.value().options().index_kind, kind);
+      const EngineOptions& options = snapshot.value().options();
+      EXPECT_EQ(options.kernel.type, kernel.type);
+      EXPECT_EQ(options.kernel.gamma, kernel.gamma);
+      EXPECT_EQ(options.kernel.beta, kernel.beta);
+      EXPECT_EQ(options.kernel.degree, kernel.degree);
+      EXPECT_EQ(options.index_kind, kind);
       auto attached = AttachEngine(snapshot.value(), nullptr, nullptr);
       ASSERT_TRUE(attached.ok()) << attached.status().ToString();
       util::Rng rng(9);
@@ -277,6 +295,17 @@ TEST(SnapshotTest, RejectsCorruptHeaderFields) {
   bad[bytes.size() / 2] = static_cast<char>(bad[bytes.size() / 2] ^ 0x01);
   WriteFileBytes(bad_path, bad);
   EXPECT_FALSE(MappedSnapshot::Map(bad_path).ok());
+
+  // Out-of-range kernel-type enum (header offset 16) under a valid
+  // checksum: rejected by the field checks, not by the checksum.
+  bad = bytes;
+  bad[16] = static_cast<char>(0xFF);
+  RestampChecksum(&bad);
+  WriteFileBytes(bad_path, bad);
+  auto bad_enum = MappedSnapshot::Map(bad_path);
+  ASSERT_FALSE(bad_enum.ok());
+  EXPECT_NE(bad_enum.status().message().find("enums"), std::string::npos)
+      << bad_enum.status().ToString();
 }
 
 TEST(SnapshotTest, UnlinkedFileKeepsAnswering) {
@@ -296,6 +325,59 @@ TEST(SnapshotTest, UnlinkedFileKeepsAnswering) {
   // POSIX: the mapping survives the unlink until munmap.
   ASSERT_TRUE(fs::remove(path));
   ExpectSameAnswers(original, attached.value(), 11, /*check_ekaq=*/false);
+}
+
+TEST(SnapshotTest, OverwritingLiveSnapshotKeepsAttachedEngineAnswering) {
+  TempDir dir("karl_snap_overwrite");
+  const data::Matrix points = MakePoints(8, 4000);
+  const std::vector<double> weights = PositiveWeights(8, points.rows());
+  const Engine original =
+      BuildEngine(points, weights, core::KernelParams::Gaussian(2.0));
+  const std::string path = dir.File("m.snap");
+  ASSERT_TRUE(WriteSnapshot(path, original).ok());
+  auto snapshot = MappedSnapshot::Map(path);
+  ASSERT_TRUE(snapshot.ok());
+  auto attached = AttachEngine(snapshot.value(), nullptr, nullptr);
+  ASSERT_TRUE(attached.ok());
+
+  // Rewrite the same path with a much smaller model while the mapping is
+  // live: truncating the file in place would make the attached engine's
+  // next fault past the new end of file a SIGBUS.
+  const data::Matrix small = MakePoints(9, 200);
+  const Engine replacement =
+      BuildEngine(small, PositiveWeights(9, small.rows()),
+                  core::KernelParams::Gaussian(2.0));
+  ASSERT_TRUE(WriteSnapshot(path, replacement).ok());
+
+  ExpectSameAnswers(original, attached.value(), 12, /*check_ekaq=*/true);
+  auto fresh = MappedSnapshot::Map(path);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_LT(fresh.value().file_bytes(), snapshot.value().file_bytes());
+  // No temporary file is left beside the snapshot.
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir.File("")),
+                          fs::directory_iterator()),
+            1);
+}
+
+TEST(SnapshotTest, FailedWriteNamesPathAndLeavesNoTemporaryFile) {
+  TempDir dir("karl_snap_failed_write");
+  const data::Matrix points = MakePoints(10, 200);
+  const Engine engine =
+      BuildEngine(points, PositiveWeights(10, points.rows()),
+                  core::KernelParams::Gaussian(2.0));
+  // The final rename fails: the target is a directory.
+  const std::string path = dir.File("taken.snap");
+  fs::create_directory(path);
+  const util::Status status = WriteSnapshot(path, engine);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), util::StatusCode::kIOError);
+  EXPECT_NE(status.message().find(path), std::string::npos)
+      << status.ToString();
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir.File(""))) {
+    names.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"taken.snap"});
 }
 
 TEST(SnapshotTest, MissingFileErrorNamesPath) {
@@ -389,46 +471,34 @@ TEST(RegistryTest, UnknownModelIsNotFoundAndListsKnownNames) {
   EXPECT_NE(handle.status().message().find("alpha"), std::string::npos);
 }
 
-TEST(RegistryTest, LoadsLegacyModelFiles) {
+TEST(RegistryTest, NonSnapshotModelFilesFailClosed) {
+  // Model files in the retired pre-snapshot format ("KARL" magic, raw
+  // points and weights; small models are shorter than a snapshot
+  // header) are neither scanned nor loadable.
   TempDir dir("karl_reg_legacy");
-  const data::Matrix points = MakePoints(27, 200);
-  const std::vector<double> weights = MixedWeights(27, points.rows());
-  core::EngineModel model;
-  model.points = points;
-  model.weights = weights;
-  model.options.kernel = core::KernelParams::Gaussian(2.0);
-  model.options.leaf_capacity = 24;
-  ASSERT_TRUE(core::SaveEngineModel(dir.File("old.bin"), model).ok());
-  const Engine original = BuildEngine(points, weights, model.options.kernel);
-
-  auto registry = ModelRegistry::Open(dir.File(""), RegistryOptions{});
-  ASSERT_TRUE(registry.ok());
-  auto handle = registry.value()->Acquire("old");
-  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-  EXPECT_FALSE(handle.value()->mmap_backed());
-  ExpectSameAnswers(original, handle.value()->engine(), 33,
-                    /*check_ekaq=*/false);
-}
-
-TEST(RegistryTest, SnapshotShadowsLegacyWithSameStem) {
-  TempDir dir("karl_reg_shadow");
-  const data::Matrix points = MakePoints(28, 200);
-  const std::vector<double> weights = MixedWeights(28, points.rows());
-  core::EngineModel model;
-  model.points = points;
-  model.weights = weights;
-  model.options.kernel = core::KernelParams::Gaussian(2.0);
-  model.options.leaf_capacity = 24;
-  ASSERT_TRUE(core::SaveEngineModel(dir.File("m.bin"), model).ok());
+  const std::string legacy = dir.File("old.bin");
+  const std::string tiny = dir.File("tiny.bin");
+  WriteFileBytes(legacy, "KARL" + std::string(4096, '\x01'));
+  WriteFileBytes(tiny, "KARL" + std::string(100, '\x01'));
   WriteModel(dir.File("m.snap"), 28, 200);
 
   auto registry = ModelRegistry::Open(dir.File(""), RegistryOptions{});
   ASSERT_TRUE(registry.ok());
   const auto listed = registry.value()->List();
   ASSERT_EQ(listed.size(), 1u);
-  auto handle = registry.value()->Acquire("m");
-  ASSERT_TRUE(handle.ok());
-  EXPECT_TRUE(handle.value()->mmap_backed());  // The .snap won.
+  EXPECT_EQ(listed[0].name, "m");
+
+  for (const std::string& path : {legacy, tiny}) {
+    ASSERT_TRUE(registry.value()->AddModelFile("old", path).ok());
+    auto handle = registry.value()->Acquire("old");
+    ASSERT_FALSE(handle.ok());
+    EXPECT_EQ(handle.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(handle.status().message().find(path), std::string::npos)
+        << handle.status().ToString();
+    EXPECT_NE(handle.status().message().find("karl build"),
+              std::string::npos)
+        << handle.status().ToString();
+  }
 }
 
 TEST(RegistryTest, CorruptFileErrorNamesPath) {

@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/batch.h"
 #include "core/evaluator.h"
 #include "core/karl.h"
 #include "data/synthetic.h"
@@ -289,17 +290,18 @@ TEST_F(ServerTest, BatchRequestMatchesLocalBatch) {
   StartServer();
   Client client = Dial();
 
+  const core::BatchEvaluator local(*engine_);
   auto above = client.TkaqBatch(queries_, kTau);
   ASSERT_TRUE(above.ok()) << above.status().ToString();
-  EXPECT_EQ(above.value(), engine_->TkaqBatch(queries_, kTau));
+  EXPECT_EQ(above.value(), local.Tkaq(queries_, kTau));
 
   auto approx = client.EkaqBatch(queries_, kEps);
   ASSERT_TRUE(approx.ok()) << approx.status().ToString();
-  EXPECT_EQ(approx.value(), engine_->EkaqBatch(queries_, kEps));
+  EXPECT_EQ(approx.value(), local.Ekaq(queries_, kEps));
 
   auto exact = client.ExactBatch(queries_);
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
-  EXPECT_EQ(exact.value(), engine_->ExactBatch(queries_));
+  EXPECT_EQ(exact.value(), local.Exact(queries_));
 }
 
 // The acceptance-criteria test: many concurrent single-query clients,

@@ -3,13 +3,17 @@
 // Subcommands:
 //   generate  --dataset <name> --out <file.csv> [--n N]
 //       Writes a benchmark-dataset simulacrum as CSV.
-//   build     --data <file.csv|file.libsvm> --out <model.bin>
+//   build     --data <file.csv|file.libsvm> --out <model.snap>
 //             [--kernel gaussian|laplacian|cauchy|polynomial|sigmoid]
 //             [--gamma G] [--beta B] [--degree D] [--weight W]
 //             [--index kd|ball] [--leaf-capacity C] [--bounds karl|sota]
-//       Builds an engine model from data (libsvm labels become weights)
-//       and saves it.
-//   query     --model <model.bin> --queries <file.csv>
+//       Builds an engine from data (libsvm labels become weights) and
+//       writes it as an mmap snapshot (src/registry/snapshot.h), replacing
+//       any existing file atomically. The written file is then verified:
+//       it is mapped back, an engine is attached over it, and exact
+//       aggregates on 64 sampled queries must be bit-identical to the
+//       built engine's.
+//   query     --model <model.snap> --queries <file.csv>
 //             (--tau T | --eps E) [--limit N] [--threads N] [--explain]
 //             [--metrics-out <file[.json]>] [--trace-out <file.json>]
 //       Runs TKAQ or eKAQ over every query row; prints results,
@@ -25,15 +29,7 @@
 //       telemetry registry (JSON when the path ends in .json,
 //       Prometheus text otherwise); --trace-out writes a Chrome
 //       trace-event JSON loadable in Perfetto.
-//   compile-snapshot  <model.bin> <model.snap> [--verify]
-//       Compiles a legacy engine-model file into the mmap snapshot
-//       format (src/registry/snapshot.h): the engine is built once,
-//       serialized flat, and thereafter servers attach it with mmap in
-//       microseconds instead of rebuilding the index. --verify maps the
-//       written snapshot back, attaches an engine over it, and checks
-//       that exact aggregates on sampled queries are bit-identical to
-//       the built engine's.
-//   tune      --model <model.bin> --queries <file.csv> (--tau T | --eps E)
+//   tune      --model <model.snap> --queries <file.csv> (--tau T | --eps E)
 //       Offline-tunes the index configuration and reports the grid.
 //   remote-query  --port P [--host 127.0.0.1] --queries <file.csv>
 //                 (--tau T | --eps E | --exact) [--limit N] [--batch]
@@ -50,7 +46,6 @@
 #include <string>
 
 #include "core/batch.h"
-#include "core/engine_io.h"
 #include "core/tuning.h"
 #include "data/csv_io.h"
 #include "data/libsvm_io.h"
@@ -70,7 +65,6 @@
 
 namespace {
 
-using karl::core::EngineModel;
 using karl::util::ParsedArgs;
 
 int Fail(const std::string& message) {
@@ -81,7 +75,7 @@ int Fail(const std::string& message) {
 int Usage() {
   std::fprintf(stderr,
                "usage: karl "
-               "<generate|build|query|tune|compile-snapshot|remote-query> "
+               "<generate|build|query|tune|remote-query> "
                "[--flags]\n"
                "run with a subcommand to see its required flags\n");
   return 1;
@@ -125,29 +119,28 @@ int RunBuild(const ParsedArgs& args) {
   const std::string data_path = args.GetString("data");
   const std::string out = args.GetString("out");
   if (data_path.empty() || out.empty()) {
-    return Fail("build requires --data <file> --out <model.bin>");
+    return Fail("build requires --data <file> --out <model.snap>");
   }
 
   std::vector<double> labels;
-  auto points = ReadPoints(data_path, &labels);
-  if (!points.ok()) return Fail(points.status().ToString());
-
-  EngineModel model;
-  model.points = std::move(points).ValueOrDie();
+  auto read = ReadPoints(data_path, &labels);
+  if (!read.ok()) return Fail(read.status().ToString());
+  const karl::data::Matrix points = std::move(read).ValueOrDie();
 
   const auto weight_flag = args.GetDouble("weight", 1.0);
   if (!weight_flag.ok()) return Fail(weight_flag.status().ToString());
+  std::vector<double> weights;
   if (!labels.empty() && !args.Has("weight")) {
-    model.weights = std::move(labels);  // LIBSVM labels as weights.
+    weights = std::move(labels);  // LIBSVM labels as weights.
   } else {
-    model.weights.assign(model.points.rows(), weight_flag.value());
+    weights.assign(points.rows(), weight_flag.value());
   }
 
   // Kernel selection; γ defaults to Scott's rule for distance kernels.
+  karl::EngineOptions options;
   const std::string kernel_name = args.GetString("kernel", "gaussian");
   const auto gamma_flag = args.GetDouble(
-      "gamma", karl::ml::BandwidthToGamma(
-                   karl::ml::ScottBandwidth(model.points)));
+      "gamma", karl::ml::BandwidthToGamma(karl::ml::ScottBandwidth(points)));
   const auto beta_flag = args.GetDouble("beta", 0.0);
   const auto degree_flag = args.GetInt("degree", 3);
   if (!gamma_flag.ok()) return Fail(gamma_flag.status().ToString());
@@ -155,16 +148,16 @@ int RunBuild(const ParsedArgs& args) {
   if (!degree_flag.ok()) return Fail(degree_flag.status().ToString());
   const double gamma = gamma_flag.value();
   if (kernel_name == "gaussian") {
-    model.options.kernel = karl::core::KernelParams::Gaussian(gamma);
+    options.kernel = karl::core::KernelParams::Gaussian(gamma);
   } else if (kernel_name == "laplacian") {
-    model.options.kernel = karl::core::KernelParams::Laplacian(gamma);
+    options.kernel = karl::core::KernelParams::Laplacian(gamma);
   } else if (kernel_name == "cauchy") {
-    model.options.kernel = karl::core::KernelParams::Cauchy(gamma);
+    options.kernel = karl::core::KernelParams::Cauchy(gamma);
   } else if (kernel_name == "polynomial") {
-    model.options.kernel = karl::core::KernelParams::Polynomial(
+    options.kernel = karl::core::KernelParams::Polynomial(
         gamma, beta_flag.value(), static_cast<int>(degree_flag.value()));
   } else if (kernel_name == "sigmoid") {
-    model.options.kernel =
+    options.kernel =
         karl::core::KernelParams::Sigmoid(gamma, beta_flag.value());
   } else {
     return Fail("unknown kernel '" + kernel_name + "'");
@@ -172,36 +165,64 @@ int RunBuild(const ParsedArgs& args) {
 
   const std::string index_name = args.GetString("index", "kd");
   if (index_name == "kd") {
-    model.options.index_kind = karl::index::IndexKind::kKdTree;
+    options.index_kind = karl::index::IndexKind::kKdTree;
   } else if (index_name == "ball") {
-    model.options.index_kind = karl::index::IndexKind::kBallTree;
+    options.index_kind = karl::index::IndexKind::kBallTree;
   } else {
     return Fail("unknown index '" + index_name + "' (kd|ball)");
   }
   const auto capacity = args.GetInt("leaf-capacity", 80);
   if (!capacity.ok()) return Fail(capacity.status().ToString());
-  model.options.leaf_capacity = static_cast<size_t>(capacity.value());
+  options.leaf_capacity = static_cast<size_t>(capacity.value());
   const std::string bounds = args.GetString("bounds", "karl");
-  model.options.bounds = bounds == "sota" ? karl::core::BoundKind::kSota
-                                          : karl::core::BoundKind::kKarl;
+  options.bounds = bounds == "sota" ? karl::core::BoundKind::kSota
+                                    : karl::core::BoundKind::kKarl;
 
-  // Validate the model by building it once before persisting.
-  auto engine =
-      karl::Engine::Build(model.points, model.weights, model.options);
+  auto engine = karl::Engine::Build(points, weights, options);
   if (!engine.ok()) return Fail(engine.status().ToString());
-  if (auto st = karl::core::SaveEngineModel(out, model); !st.ok()) {
+  if (auto st = karl::registry::WriteSnapshot(out, engine.value()); !st.ok()) {
     return Fail(st.ToString());
   }
+  auto mapped = karl::registry::MappedSnapshot::Map(out);
+  if (!mapped.ok()) return Fail(mapped.status().ToString());
   std::printf("model saved: %zu points, %zu dims, %s kernel (gamma=%.6g), "
-              "%s index, %s bounds -> %s\n",
-              model.points.rows(), model.points.cols(),
-              std::string(KernelTypeToString(model.options.kernel.type))
+              "%s index, %s bounds, %s weighting, %zu bytes -> %s\n",
+              points.rows(), points.cols(),
+              std::string(KernelTypeToString(options.kernel.type)).c_str(),
+              options.kernel.gamma,
+              std::string(IndexKindToString(options.index_kind)).c_str(),
+              std::string(BoundKindToString(options.bounds)).c_str(),
+              std::string(WeightingTypeToString(
+                              engine.value().weighting_type()))
                   .c_str(),
-              model.options.kernel.gamma,
-              std::string(IndexKindToString(model.options.index_kind))
-                  .c_str(),
-              std::string(BoundKindToString(model.options.bounds)).c_str(),
-              out.c_str());
+              mapped.value().file_bytes(), out.c_str());
+
+  // Attach an engine over the written snapshot and require exact
+  // aggregates on sampled queries to be bit-identical to the built
+  // engine's — the snapshot stores the same doubles the builder
+  // computed, so any difference is corruption, not rounding.
+  auto attached = karl::registry::AttachEngine(mapped.value(),
+                                               nullptr, nullptr);
+  if (!attached.ok()) return Fail(attached.status().ToString());
+  const size_t dims = points.cols();
+  const size_t samples = std::min<size_t>(64, points.rows());
+  karl::util::Rng rng(0x6b61726cu);
+  std::vector<double> q(dims);
+  for (size_t i = 0; i < samples; ++i) {
+    const auto base = points.Row((i * 7919) % points.rows());
+    for (size_t d = 0; d < dims; ++d) {
+      q[d] = base[d] + rng.Uniform(-0.05, 0.05);
+    }
+    const double expected = engine.value().Exact(q);
+    const double actual = attached.value().Exact(q);
+    if (expected != actual) {
+      return Fail("verify FAILED for " + out +
+                  ": exact aggregate mismatch on sample " +
+                  std::to_string(i) + " (built " + std::to_string(expected) +
+                  ", snapshot " + std::to_string(actual) + ")");
+    }
+  }
+  std::printf("verify: %zu exact aggregates bit-identical\n", samples);
   return 0;
 }
 
@@ -209,7 +230,7 @@ int RunQuery(const ParsedArgs& args) {
   const std::string model_path = args.GetString("model");
   const std::string query_path = args.GetString("queries");
   if (model_path.empty() || query_path.empty()) {
-    return Fail("query requires --model <model.bin> --queries <file.csv>");
+    return Fail("query requires --model <model.snap> --queries <file.csv>");
   }
   const bool threshold_mode = args.Has("tau");
   const bool approx_mode = args.Has("eps");
@@ -223,20 +244,14 @@ int RunQuery(const ParsedArgs& args) {
   const std::string metrics_out = args.GetString("metrics-out");
   const std::string trace_out = args.GetString("trace-out");
 
-  // Load the model and build the engine here (instead of LoadEngine) so
-  // the telemetry sinks can be attached to the build options.
-  auto model = karl::core::LoadEngineModel(model_path);
-  if (!model.ok()) return Fail(model.status().ToString());
+  // The mapping outlives the engine attached over it (declared first).
+  auto mapped = karl::registry::MappedSnapshot::Map(model_path);
+  if (!mapped.ok()) return Fail(mapped.status().ToString());
   karl::telemetry::TraceRecorder tracer;
-  if (!metrics_out.empty()) {
-    model.value().options.metrics = &karl::telemetry::GlobalRegistry();
-  }
-  if (!trace_out.empty()) {
-    model.value().options.tracer = &tracer;
-  }
-  auto engine = karl::Engine::Build(model.value().points,
-                                    model.value().weights,
-                                    model.value().options);
+  auto engine = karl::registry::AttachEngine(
+      mapped.value(),
+      metrics_out.empty() ? nullptr : &karl::telemetry::GlobalRegistry(),
+      trace_out.empty() ? nullptr : &tracer);
   if (!engine.ok()) return Fail(engine.status().ToString());
   auto queries = karl::data::ReadCsvFile(query_path);
   if (!queries.ok()) return Fail(queries.status().ToString());
@@ -270,13 +285,16 @@ int RunQuery(const ParsedArgs& args) {
       block = block.SelectRows(head);
     }
     karl::util::ThreadPool pool(threads);
+    karl::core::BatchOptions batch_options;
+    batch_options.pool = &pool;
+    const karl::core::BatchEvaluator batch(engine.value(), batch_options);
     if (threshold_mode) {
-      const auto out = engine.value().TkaqBatch(block, tau.value(), &pool);
+      const auto out = batch.Tkaq(block, tau.value());
       for (size_t i = 0; i < out.size(); ++i) {
         std::printf("%zu\t%s\n", i, out[i] != 0 ? "above" : "below");
       }
     } else {
-      const auto out = engine.value().EkaqBatch(block, eps.value(), &pool);
+      const auto out = batch.Ekaq(block, eps.value());
       for (size_t i = 0; i < out.size(); ++i) {
         std::printf("%zu\t%.12g\n", i, out[i]);
       }
@@ -430,82 +448,35 @@ int RunRemoteQuery(const ParsedArgs& args) {
   return 0;
 }
 
-int RunCompileSnapshot(const ParsedArgs& args) {
-  if (args.positional().size() != 2) {
-    return Fail(
-        "compile-snapshot requires <model.bin> <model.snap> [--verify]");
-  }
-  const std::string& in_path = args.positional()[0];
-  const std::string& out_path = args.positional()[1];
-
-  auto model = karl::core::LoadEngineModel(in_path);
-  if (!model.ok()) return Fail(model.status().ToString());
-  auto engine = karl::Engine::Build(model.value().points,
-                                    model.value().weights,
-                                    model.value().options);
-  if (!engine.ok()) return Fail(engine.status().ToString());
-  if (auto st = karl::registry::WriteSnapshot(out_path, engine.value());
-      !st.ok()) {
-    return Fail(st.ToString());
-  }
-
-  auto mapped = karl::registry::MappedSnapshot::Map(out_path);
-  if (!mapped.ok()) return Fail(mapped.status().ToString());
-  std::printf(
-      "snapshot compiled: %zu points, %zu dims, %s weighting, "
-      "%zu bytes -> %s\n",
-      model.value().points.rows(), model.value().points.cols(),
-      std::string(WeightingTypeToString(engine.value().weighting_type()))
-          .c_str(),
-      mapped.value().file_bytes(), out_path.c_str());
-
-  if (!args.Has("verify")) return 0;
-
-  // Attach an engine over the freshly written snapshot and require
-  // exact aggregates on sampled queries to be bit-identical to the
-  // built engine's — the snapshot stores the same doubles the builder
-  // computed, so any difference is corruption, not rounding.
-  auto attached = karl::registry::AttachEngine(mapped.value(),
-                                               nullptr, nullptr);
-  if (!attached.ok()) return Fail(attached.status().ToString());
-  const karl::data::Matrix& points = model.value().points;
-  const size_t dims = points.cols();
-  const size_t samples = std::min<size_t>(64, points.rows());
-  karl::util::Rng rng(0x6b61726cu);
-  std::vector<double> q(dims);
-  for (size_t i = 0; i < samples; ++i) {
-    const auto base = points.Row((i * 7919) % points.rows());
-    for (size_t d = 0; d < dims; ++d) {
-      q[d] = base[d] + rng.Uniform(-0.05, 0.05);
-    }
-    const double expected = engine.value().Exact(q);
-    const double actual = attached.value().Exact(q);
-    if (expected != actual) {
-      return Fail("verify FAILED: exact aggregate mismatch on sample " +
-                  std::to_string(i) + " (built " +
-                  std::to_string(expected) + ", snapshot " +
-                  std::to_string(actual) + ")");
-    }
-  }
-  std::printf("verify: %zu exact aggregates bit-identical\n", samples);
-  return 0;
-}
-
 int RunTune(const ParsedArgs& args) {
   const std::string model_path = args.GetString("model");
   const std::string query_path = args.GetString("queries");
   if (model_path.empty() || query_path.empty()) {
-    return Fail("tune requires --model <model.bin> --queries <file.csv>");
+    return Fail("tune requires --model <model.snap> --queries <file.csv>");
   }
   const auto tau = args.GetDouble("tau", 0.0);
   const auto eps = args.GetDouble("eps", 0.2);
   if (!tau.ok()) return Fail(tau.status().ToString());
   if (!eps.ok()) return Fail(eps.status().ToString());
 
-  auto model = karl::core::LoadEngineModel(model_path);
-  if (!model.ok()) return Fail(model.status().ToString());
+  auto mapped = karl::registry::MappedSnapshot::Map(model_path);
+  if (!mapped.ok()) return Fail(mapped.status().ToString());
   auto queries = karl::data::ReadCsvFile(query_path);
   if (!queries.ok()) return Fail(queries.status().ToString());
+
+  // OfflineTune rebuilds the index for every grid candidate, so it needs
+  // the weighted point set back: tree 0 holds the positive-weight rows,
+  // tree 1 (Type III only) the negative-weight rows with |w| stored.
+  const karl::registry::MappedSnapshot& snapshot = mapped.value();
+  const size_t cols = snapshot.tree_view(0).cols;
+  std::vector<double> values;
+  std::vector<double> weights;
+  for (size_t t = 0; t < snapshot.num_trees(); ++t) {
+    const karl::index::TreeIndexView& view = snapshot.tree_view(t);
+    values.insert(values.end(), view.points, view.points + view.rows * cols);
+    for (const double w : view.weights) weights.push_back(t == 0 ? w : -w);
+  }
+  const karl::data::Matrix points(weights.size(), cols, std::move(values));
 
   karl::core::QuerySpec spec;
   if (args.Has("tau")) {
@@ -516,9 +487,9 @@ int RunTune(const ParsedArgs& args) {
     spec.eps = eps.value();
   }
 
-  auto result = karl::core::OfflineTune(
-      model.value().points, model.value().weights, model.value().options,
-      queries.value(), spec, karl::core::DefaultTuningGrid());
+  auto result = karl::core::OfflineTune(points, weights, snapshot.options(),
+                                        queries.value(), spec,
+                                        karl::core::DefaultTuningGrid());
   if (!result.ok()) return Fail(result.status().ToString());
 
   std::printf("%-12s %-14s %s\n", "index", "leaf-capacity", "queries/s");
@@ -550,8 +521,6 @@ int main(int argc, char** argv) {
     rc = RunQuery(args);
   } else if (args.command() == "tune") {
     rc = RunTune(args);
-  } else if (args.command() == "compile-snapshot") {
-    rc = RunCompileSnapshot(args);
   } else if (args.command() == "remote-query") {
     rc = RunRemoteQuery(args);
   } else {

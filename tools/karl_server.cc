@@ -1,6 +1,6 @@
 // karl_server — network front end for saved KARL models.
 //
-//   karl_server --model <model.bin|model.snap>
+//   karl_server --model <model.snap>
 //               | --model-dir <dir> [--default-model <name>]
 //               [--model-memory-budget <bytes>]
 //               [--host 127.0.0.1] [--port 7070]
@@ -9,16 +9,16 @@
 //               [--slow-query-us N] [--trace-out <file>] [--admin-port P]
 //               [--admin-host 127.0.0.1] [--slo-config <file>]
 //
-// Models are served through a registry (src/registry/registry.h):
-// `--model` registers one file (legacy .bin or mmap .snap, sniffed by
-// magic) as the default model; `--model-dir` scans a directory of
-// *.snap / *.bin files, each served under its file stem, picked per
-// request with the protocol's "model" field. `--default-model` names
-// which of them answers unnamed requests (a single-model directory is
-// its own default). `--model-memory-budget` bounds resident model
-// bytes with LRU eviction (0 = unlimited; in-use models are never
-// evicted). Models load lazily on first use; SIGHUP (or the protocol's
-// op=reload) rescans the directory and atomically swaps changed files.
+// Models are mmap snapshots written by `karl build`, served through a
+// registry (src/registry/registry.h): `--model` registers one snapshot
+// file as the default model; `--model-dir` scans a directory of *.snap
+// files, each served under its file stem, picked per request with the
+// protocol's "model" field. `--default-model` names which of them
+// answers unnamed requests (a single-model directory is its own
+// default). `--model-memory-budget` bounds resident model bytes with
+// LRU eviction (0 = unlimited; in-use models are never evicted).
+// Models load lazily on first use; SIGHUP (or the protocol's op=reload)
+// rescans the directory and atomically swaps changed files.
 //
 // The server answers the newline-delimited JSON protocol
 // (src/server/protocol.h) until SIGINT/SIGTERM, then drains in-flight
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   const auto model_memory_budget = args.GetInt("model-memory-budget", 0);
   if (model_path.empty() && model_dir.empty()) {
     return Fail(
-        "usage: karl_server --model <model.bin|model.snap> | "
+        "usage: karl_server --model <model.snap> | "
         "--model-dir <dir> [--default-model <name>] "
         "[--model-memory-budget <bytes>] [--host H] [--port P] "
         "[--threads N] [--max-pending R] [--log-level L] "
@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
   }
   if (models->List().empty()) {
     return Fail("no models: '" + model_dir +
-                "' holds no *.snap or *.bin files");
+                "' holds no *.snap files");
   }
 
   // Load the default model now (when one resolves) so a missing or
