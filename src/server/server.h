@@ -1,7 +1,8 @@
 // Epoll-based TCP front end for KARL engines served out of a model
-// registry (registry/registry.h): requests pick a model by name,
-// SIGHUP / op=reload hot-reloads the registry, and a single built
-// engine is served through the same path via the Start() wrapper.
+// registry (registry/registry.h): requests pick a model by name and
+// SIGHUP / op=reload hot-reloads the registry. StartWithRegistry() is
+// the one entry point; to serve a single built engine, open an empty
+// registry and ModelRegistry::AdoptEngine() it.
 //
 // Threading model (three kinds of threads, strict ownership):
 //   * one event-loop thread owns every socket, connection buffer, and
@@ -64,7 +65,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/karl.h"
 #include "registry/registry.h"
 #include "server/coalescer.h"
 #include "server/http_admin.h"
@@ -175,14 +175,6 @@ class Router {
 /// The serving process: listener + event loop + coalescer + pool.
 class Server {
  public:
-  /// Binds, spawns the event loop, and starts serving the single
-  /// `engine`, which must outlive the server. Internally this wraps the
-  /// engine in an owned single-model registry (adopted as "default"),
-  /// so the wire protocol — including `"model"` and op=reload — behaves
-  /// identically to a registry-backed server.
-  static util::Result<std::unique_ptr<Server>> Start(const Engine& engine,
-                                                     ServerOptions options);
-
   /// Binds, spawns the event loop, and serves every model in `models`
   /// (requests pick one with `"model":"<name>"`; op=reload / SIGHUP
   /// rescans). The registry must outlive the server.
@@ -293,10 +285,6 @@ class Server {
   // triggers a load); null otherwise. Used by VarzJson.
   registry::ModelHandle ResidentDefaultModel() const;
 
-  // owned_registry_ backs the single-engine Start() overload; declared
-  // before the coalescer/router so it outlives everything that holds
-  // model handles during destruction.
-  std::unique_ptr<registry::ModelRegistry> owned_registry_;
   registry::ModelRegistry* models_ = nullptr;
   ServerOptions options_;
   telemetry::Registry* registry_ = nullptr;

@@ -67,11 +67,12 @@ util::Status ApplyObjective(const Json& block, const std::string& where,
     return util::Status::InvalidArgument("slo-config: " + where +
                                          " burn thresholds must be > 0");
   }
+  // Whole 10s wheel slots only: any other span would be floored to one.
   if (!(window_s >= 60.0) || !(window_s <= 86400.0) ||
-      window_s != std::floor(window_s)) {
+      std::fmod(window_s, 10.0) != 0.0) {
     return util::Status::InvalidArgument(
         "slo-config: " + where +
-        ".window_s must be an integer in [60, 86400]");
+        ".window_s must be an integer multiple of 10 in [60, 86400]");
   }
   out->window_s = static_cast<uint64_t>(window_s);
   return util::Status::OK();

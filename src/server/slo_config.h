@@ -23,7 +23,9 @@
 //
 // Validation: thresholds must be positive, targets in (0, 1) — a target
 // of 1.0 would make the error budget zero and every request a burn —
-// and window_s in [60, 86400] so the per-model wheel stays bounded.
+// and window_s an integer multiple of 10 in [60, 86400]: the budget
+// window is a whole number of the SLO engine's 10s wheel slots, and the
+// per-model wheel stays bounded.
 
 #ifndef KARL_SERVER_SLO_CONFIG_H_
 #define KARL_SERVER_SLO_CONFIG_H_

@@ -10,49 +10,11 @@
 
 #include "telemetry/rolling.h"
 #include "util/check.h"
+#include "util/json_text.h"
 
 namespace karl::telemetry {
 
 namespace {
-
-// Shortest round-trippable formatting; JSON has no Inf/NaN literals, so
-// non-finite values degrade to null.
-void AppendNumber(std::string* out, double v) {
-  if (!std::isfinite(v)) {
-    out->append("null");
-    return;
-  }
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  out->append(buffer);
-}
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", ch);
-          out->append(buffer);
-        } else {
-          out->push_back(ch);
-        }
-    }
-  }
-}
 
 void AtomicAdd(std::atomic<double>& target, double delta) {
   double cur = target.load(std::memory_order_relaxed);
@@ -76,6 +38,8 @@ void AtomicMax(std::atomic<double>& target, double v) {
 }
 
 }  // namespace
+
+void Gauge::Add(double delta) { AtomicAdd(value_, delta); }
 
 int HistogramBucketIndex(double value) {
   if (!(value > 0.0)) return 0;  // Non-positives and NaN underflow.
@@ -154,6 +118,16 @@ void Histogram::Record(double value) {
   AtomicMin(min_, value);
   AtomicMax(max_, value);
   count_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Histogram::Reset() {
+  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
+  count_.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
+  min_.store(std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
+  max_.store(-std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
 }
 
 HistogramSnapshot Histogram::Snapshot() const {
@@ -353,11 +327,11 @@ void AppendSummaryText(std::string* out, const std::string& series,
       {"1", h.max}};
   for (const auto& [q, value] : quantiles) {
     *out += SeriesWithLabel(series, "quantile", q) + " ";
-    AppendNumber(out, value);
+    util::AppendJsonNumber(out, value);
     *out += "\n";
   }
   *out += SeriesWithSuffix(series, "_sum") + " ";
-  AppendNumber(out, h.sum);
+  util::AppendJsonNumber(out, h.sum);
   *out += "\n";
   char line[32];
   std::snprintf(line, sizeof(line), " %llu\n",
@@ -394,7 +368,7 @@ std::string DumpText(const Registry& registry) {
       out += "# TYPE " + MetricBaseName(name) + " gauge\n";
     }
     out += name + " ";
-    AppendNumber(&out, value);
+    util::AppendJsonNumber(&out, value);
     out += "\n";
   }
   last_family.clear();
@@ -435,7 +409,7 @@ std::string DumpJson(const Registry& registry) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"";
-    AppendEscaped(&out, name);
+    util::AppendJsonString(&out, name);
     char buffer[32];
     std::snprintf(buffer, sizeof(buffer), "\": %llu",
                   static_cast<unsigned long long>(value));
@@ -448,9 +422,9 @@ std::string DumpJson(const Registry& registry) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"";
-    AppendEscaped(&out, name);
+    util::AppendJsonString(&out, name);
     out += "\": ";
-    AppendNumber(&out, value);
+    util::AppendJsonNumber(&out, value);
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
@@ -462,14 +436,14 @@ std::string DumpJson(const Registry& registry) {
     std::snprintf(buffer, sizeof(buffer), "{\"count\": %llu, \"sum\": ",
                   static_cast<unsigned long long>(h.count));
     out += buffer;
-    AppendNumber(&out, h.sum);
+    util::AppendJsonNumber(&out, h.sum);
     const std::pair<const char*, double> fields[] = {
         {"min", h.min},           {"max", h.max},
         {"p50", h.Quantile(0.5)}, {"p95", h.Quantile(0.95)},
         {"p99", h.Quantile(0.99)}};
     for (const auto& [key, value] : fields) {
       out += std::string(", \"") + key + "\": ";
-      AppendNumber(&out, value);
+      util::AppendJsonNumber(&out, value);
     }
     out += ", \"buckets\": [";
     bool first_bucket = true;
@@ -479,7 +453,7 @@ std::string DumpJson(const Registry& registry) {
       if (!first_bucket) out += ", ";
       first_bucket = false;
       out += "[";
-      AppendNumber(&out, HistogramBucketLowerBound(i));
+      util::AppendJsonNumber(&out, HistogramBucketLowerBound(i));
       std::snprintf(buffer, sizeof(buffer), ", %llu]",
                     static_cast<unsigned long long>(c));
       out += buffer;
@@ -490,7 +464,7 @@ std::string DumpJson(const Registry& registry) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"";
-    AppendEscaped(&out, name);
+    util::AppendJsonString(&out, name);
     out += "\": ";
     append_histogram_body(h);
     out += "}";
@@ -499,7 +473,7 @@ std::string DumpJson(const Registry& registry) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"";
-    AppendEscaped(&out, name);
+    util::AppendJsonString(&out, name);
     out += "\": ";
     append_histogram_body(r.cumulative);
     out += ", \"window" + std::to_string(r.window_span_s) + "s\": ";

@@ -47,12 +47,7 @@ class Counter {
 class Gauge {
  public:
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(double delta) {
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + delta,
-                                         std::memory_order_relaxed)) {
-    }
-  }
+  void Add(double delta);
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -110,6 +105,9 @@ class Histogram {
  public:
   void Record(double value);
   HistogramSnapshot Snapshot() const;
+  /// Empties the histogram. Concurrent Records may survive the reset;
+  /// used by RollingHistogram's time wheel to recycle a slot.
+  void Reset();
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
 

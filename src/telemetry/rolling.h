@@ -4,51 +4,39 @@
 // lifetime-cumulative p95 never forgets the first minute of traffic; the
 // windowed view is what alerting and autotuning want.
 //
-// Layout: the wheel has kWheelSlots slots, each a full bucket array
-// stamped with the sub-window epoch (now / kSubWindowUs) it belongs to.
-// Recording lands in slot [epoch % kWheelSlots]; the first writer of a
-// new epoch clears the slot's previous contents under a rotation mutex
-// (taken once per sub-window, never on the steady-state hot path) and
-// republishes the epoch. A window snapshot merges the slots whose epoch
-// falls inside the last kMergedSubWindows epochs, so the reported span
-// covers between (kMergedSubWindows - 1) and kMergedSubWindows
-// sub-windows depending on how full the current one is.
+// Layout: a lifetime Histogram plus a TimeWheel<Histogram>
+// (telemetry/time_wheel.h) of 10 s slots. Recording lands in both; a
+// window snapshot merges the Snapshot()s of the wheel slots inside the
+// last kMergedSubWindows epochs, so the reported span covers between
+// (kMergedSubWindows - 1) and kMergedSubWindows sub-windows depending on
+// how full the current one is.
 //
-// Concurrency: every slot field is an atomic mutated with relaxed
-// ordering, exactly like Histogram — any number of recorders, no locks
-// on the hot path, snapshots from any thread. The rotation race (a
-// recorder stalled across a sub-window boundary lands its sample in the
-// successor epoch, or a snapshot merges a slot mid-rotation) perturbs
-// windowed counts by at most the in-flight samples; the cumulative side
-// is exact. That tolerance is the price of a lock-free record path and
-// is fine for latency quantiles.
+// Concurrency: recording is Histogram::Record twice — relaxed atomics,
+// no locks on the hot path, snapshots from any thread. The rotation race
+// (a recorder stalled across a sub-window boundary lands its sample in
+// the successor epoch, or a snapshot merges a slot mid-rotation)
+// perturbs windowed counts by at most the in-flight samples; the
+// cumulative side is exact. That tolerance is the price of a lock-free
+// record path and is fine for latency quantiles.
 
 #ifndef KARL_TELEMETRY_ROLLING_H_
 #define KARL_TELEMETRY_ROLLING_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
 
 #include "telemetry/metrics.h"
-#include "util/mutex.h"
+#include "telemetry/time_wheel.h"
 
 namespace karl::telemetry {
 
 /// See file comment.
 class RollingHistogram {
  public:
-  /// Sub-window span. 10s sub-windows merged six-at-a-time give the
-  /// nominal 60s window reported as `_window60s` in the exposition.
-  static constexpr uint64_t kSubWindowUs = 10'000'000;
-  /// Sub-windows merged into one window snapshot.
+  /// Sub-windows merged into one window snapshot: six 10s slots give
+  /// the nominal 60s window reported as `_window60s` in the exposition.
   static constexpr int kMergedSubWindows = 6;
-  /// Ring size; > kMergedSubWindows so the slot recycled for a new epoch
-  /// is never one still eligible for the current window.
-  static constexpr int kWheelSlots = 8;
 
-  RollingHistogram();
+  RollingHistogram() = default;
   RollingHistogram(const RollingHistogram&) = delete;
   RollingHistogram& operator=(const RollingHistogram&) = delete;
 
@@ -72,35 +60,15 @@ class RollingHistogram {
 
   /// Nominal window span in seconds (the "60" of `_window60s`).
   static constexpr uint64_t WindowSpanSeconds() {
-    return kMergedSubWindows * kSubWindowUs / 1'000'000;
+    return kMergedSubWindows * kTimeWheelSlotUs / 1'000'000;
   }
 
   /// Cumulative sample count.
   uint64_t count() const { return cumulative_.count(); }
 
  private:
-  // One spoke of the wheel. All fields relaxed atomics; `epoch` is
-  // store(release)-published after the clear so recorders that observe
-  // the new epoch see an empty slot.
-  struct Slot {
-    static constexpr uint64_t kNeverUsed = ~uint64_t{0};
-    std::atomic<uint64_t> epoch{kNeverUsed};
-    std::array<std::atomic<uint64_t>, kHistogramBuckets> counts{};
-    std::atomic<uint64_t> count{0};
-    std::atomic<double> sum{0.0};
-    std::atomic<double> min{0.0};  // +inf sentinel set in ctor/Rotate.
-    std::atomic<double> max{0.0};  // -inf sentinel set in ctor/Rotate.
-  };
-
-  // Clears `slot` and publishes it as `epoch`. Serialized so exactly one
-  // writer resets the slot; on return slot->epoch == epoch.
-  void Rotate(Slot* slot, uint64_t epoch);
-
   Histogram cumulative_;
-  // Heap array: Slot holds atomics (immovable), and keeping the wheel
-  // out-of-line keeps RollingHistogram itself cheap to place in maps.
-  std::unique_ptr<Slot[]> slots_;
-  util::Mutex rotate_mu_;
+  TimeWheel<Histogram> wheel_{kMergedSubWindows};
 };
 
 }  // namespace karl::telemetry

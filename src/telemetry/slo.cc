@@ -1,12 +1,13 @@
 #include "telemetry/slo.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <utility>
 
 #include "telemetry/context.h"
 #include "telemetry/labels.h"
+#include "util/check.h"
+#include "util/json_text.h"
 #include "util/log.h"
 
 namespace karl::telemetry {
@@ -14,6 +15,19 @@ namespace karl::telemetry {
 namespace {
 
 constexpr const char* kKindNames[] = {"latency", "availability"};
+
+constexpr uint64_t kSlotSeconds = kTimeWheelSlotUs / 1'000'000;
+
+// Wheel slots spanning `span_s` seconds; window_s is a whole number of
+// slots (checked at construction), and so is the fast window.
+uint64_t SlotsIn(uint64_t span_s) { return span_s / kSlotSeconds; }
+
+void CheckObjective(const SloObjective& obj) {
+  KARL_CHECK(obj.window_s >= 60 && obj.window_s <= 86400 &&
+             obj.window_s % kSlotSeconds == 0)
+      << ": SLO window_s " << obj.window_s
+      << " is not an integer multiple of 10 in [60, 86400]";
+}
 
 // Burn rate = observed bad fraction / allowed bad fraction, capped so
 // gauges and JSON stay finite. No traffic burns nothing.
@@ -34,43 +48,6 @@ double BudgetRemaining(uint64_t bad, uint64_t total, double target) {
   return std::clamp(1.0 - static_cast<double>(bad) / allowed, 0.0, 1.0);
 }
 
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", ch);
-          out->append(buffer);
-        } else {
-          out->push_back(ch);
-        }
-    }
-  }
-}
-
-void AppendJsonNumber(std::string* out, double v) {
-  if (!std::isfinite(v)) {
-    out->append("null");
-    return;
-  }
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  out->append(buffer);
-}
-
 }  // namespace
 
 const SloObjective& SloConfig::ForModel(const std::string& model) const {
@@ -78,16 +55,17 @@ const SloObjective& SloConfig::ForModel(const std::string& model) const {
   return it == per_model.end() ? default_objective : it->second;
 }
 
-SloEngine::Tracker::Tracker(const SloObjective& obj) : objective(obj) {
-  // Two spare slots past the window so the slot recycled for a new epoch
-  // is never one still eligible for the slow window.
-  const size_t slots = objective.window_s / (kSubWindowUs / 1'000'000) + 2;
-  wheel.resize(slots);
-}
+SloEngine::Tracker::Tracker(const SloObjective& obj)
+    : objective(obj), wheel(SlotsIn(obj.window_s)) {}
 
 SloEngine::SloEngine(SloConfig config, Registry* registry,
                      util::Logger* logger)
-    : config_(std::move(config)), registry_(registry), logger_(logger) {}
+    : config_(std::move(config)), registry_(registry), logger_(logger) {
+  CheckObjective(config_.default_objective);
+  for (const auto& [model, objective] : config_.per_model) {
+    CheckObjective(objective);
+  }
+}
 
 SloEngine::~SloEngine() = default;
 
@@ -119,20 +97,13 @@ SloEngine::Tracker* SloEngine::GetTracker(const std::string& model) {
 SloEngine::WindowCounts SloEngine::SumWindow(const Tracker& tracker,
                                              uint64_t now_us,
                                              uint64_t span_s) const {
-  const uint64_t now_epoch = now_us / kSubWindowUs;
-  const uint64_t span_epochs =
-      std::max<uint64_t>(1, span_s * 1'000'000 / kSubWindowUs);
   WindowCounts counts;
-  for (const Slot& slot : tracker.wheel) {
-    if (slot.epoch == Slot::kNeverUsed) continue;
-    // In-window: the last span_epochs epochs ending at (and including
-    // the partially-filled) now_epoch.
-    if (slot.epoch > now_epoch) continue;
-    if (slot.epoch + span_epochs <= now_epoch) continue;
-    counts.total += slot.total;
-    counts.bad[kLatency] += slot.latency_bad;
-    counts.bad[kAvailability] += slot.errors;
-  }
+  tracker.wheel.ForEachInWindow(now_us, SlotsIn(span_s),
+                                [&counts](const Slot& slot) {
+                                  counts.total += slot.total;
+                                  counts.bad[kLatency] += slot.latency_bad;
+                                  counts.bad[kAvailability] += slot.errors;
+                                });
   return counts;
 }
 
@@ -184,9 +155,7 @@ void SloEngine::ObserveAt(const std::string& model, double total_us, bool ok,
                           uint64_t now_us) {
   const util::MutexLock lock(&mu_);
   Tracker* tracker = GetTracker(model);
-  const uint64_t epoch = now_us / kSubWindowUs;
-  Slot& slot = tracker->wheel[epoch % tracker->wheel.size()];
-  if (slot.epoch != epoch) slot = Slot{.epoch = epoch};
+  Slot& slot = tracker->wheel.Current(now_us);
   slot.total += 1;
   if (total_us > tracker->objective.latency_threshold_us) {
     slot.latency_bad += 1;
@@ -195,6 +164,7 @@ void SloEngine::ObserveAt(const std::string& model, double total_us, bool ok,
   // Re-evaluate burn on slot rotation — once per 10s per model under
   // load, so edges fire within one sub-window of the crossing even if
   // nothing scrapes.
+  const uint64_t epoch = TimeWheel<Slot>::Epoch(now_us);
   if (epoch != tracker->last_epoch) {
     tracker->last_epoch = epoch;
     Evaluate(model, tracker, now_us);
@@ -221,7 +191,7 @@ std::string SloEngine::SlozJsonAt(uint64_t now_us) {
     out += first_model ? "\n" : ",\n";
     first_model = false;
     out += "    \"";
-    AppendJsonEscaped(&out, model);
+    util::AppendJsonString(&out, model);
     out += "\": {";
     const SloObjective& obj = tracker->objective;
     const uint64_t fast_s =
@@ -236,11 +206,11 @@ std::string SloEngine::SlozJsonAt(uint64_t now_us) {
       char buffer[96];
       if (k == kLatency) {
         out += "\"threshold_us\": ";
-        AppendJsonNumber(&out, obj.latency_threshold_us);
+        util::AppendJsonNumber(&out, obj.latency_threshold_us);
         out += ", ";
       }
       out += "\"target\": ";
-      AppendJsonNumber(&out, targets[k]);
+      util::AppendJsonNumber(&out, targets[k]);
       std::snprintf(buffer, sizeof(buffer),
                     ", \"window_s\": %llu, \"window_total\": %llu, "
                     "\"window_bad\": %llu, \"fast_total\": %llu, "
@@ -252,15 +222,15 @@ std::string SloEngine::SlozJsonAt(uint64_t now_us) {
                     static_cast<unsigned long long>(fast.bad[k]));
       out += buffer;
       out += ", \"burn_rate_fast\": ";
-      AppendJsonNumber(&out, tracker->last_burn_fast[k]);
+      util::AppendJsonNumber(&out, tracker->last_burn_fast[k]);
       out += ", \"burn_rate_slow\": ";
-      AppendJsonNumber(&out, tracker->last_burn_slow[k]);
+      util::AppendJsonNumber(&out, tracker->last_burn_slow[k]);
       out += ", \"fast_burn_threshold\": ";
-      AppendJsonNumber(&out, obj.fast_burn_threshold);
+      util::AppendJsonNumber(&out, obj.fast_burn_threshold);
       out += ", \"slow_burn_threshold\": ";
-      AppendJsonNumber(&out, obj.slow_burn_threshold);
+      util::AppendJsonNumber(&out, obj.slow_burn_threshold);
       out += ", \"budget_remaining\": ";
-      AppendJsonNumber(&out, tracker->last_budget[k]);
+      util::AppendJsonNumber(&out, tracker->last_budget[k]);
       out += std::string(", \"burning\": ") +
              (tracker->burning[k] ? "true" : "false") + "}";
     }

@@ -20,8 +20,9 @@
 // `slo.burn_clear` on recovery) — edges, not levels, so a sustained
 // burn does not spam the log.
 //
-// Mechanics: one time wheel per model (10s slots spanning the budget
-// window) counting {total, latency_bad, errors}; everything is guarded
+// Mechanics: one TimeWheel per model (telemetry/time_wheel.h: 10s
+// slots spanning the budget window, the same wheel RollingHistogram
+// runs on) counting {total, latency_bad, errors}; everything is guarded
 // by one engine mutex. Observe() is called once per completed request
 // from the server's event-loop thread — a short uncontended lock, never
 // on the eval worker hot path. Burn gauges
@@ -41,9 +42,9 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "telemetry/metrics.h"
+#include "telemetry/time_wheel.h"
 #include "util/mutex.h"
 
 namespace karl::util {
@@ -60,7 +61,8 @@ struct SloObjective {
   double latency_target = 0.99;
   /// Required fraction of successful requests, in (0, 1).
   double availability_target = 0.999;
-  /// Rolling error-budget window, seconds.
+  /// Rolling error-budget window, seconds: an integer multiple of the
+  /// 10s wheel slot in [60, 86400].
   uint64_t window_s = 3600;
   /// WARN when the fast-window burn rate reaches this.
   double fast_burn_threshold = 14.4;
@@ -82,13 +84,12 @@ struct SloConfig {
 /// See file comment.
 class SloEngine {
  public:
-  /// Wheel slot span; matches RollingHistogram's sub-window.
-  static constexpr uint64_t kSubWindowUs = 10'000'000;
   /// Fast burn-evaluation window, seconds (clamped to window_s).
   static constexpr uint64_t kFastWindowSeconds = 300;
   /// Burn-rate gauges are clamped here so the exposition stays finite.
   static constexpr double kBurnRateCap = 1e9;
 
+  /// Every objective's window_s must be valid (see SloObjective).
   /// `registry` receives the burn gauges (may be null: tracking and
   /// logging still work). `logger` receives the WARN edges (may be
   /// null). Both non-owning, must outlive the engine.
@@ -122,12 +123,12 @@ class SloEngine {
   // Objective axes, used to index per-tracker state.
   enum SloKind : size_t { kLatency = 0, kAvailability = 1, kNumKinds = 2 };
 
+  // One wheel slot's traffic; plain fields, guarded by mu_.
   struct Slot {
-    static constexpr uint64_t kNeverUsed = ~uint64_t{0};
-    uint64_t epoch = kNeverUsed;
     uint64_t total = 0;
     uint64_t latency_bad = 0;
     uint64_t errors = 0;
+    void Reset() { *this = Slot{}; }
   };
 
   struct WindowCounts {
@@ -138,7 +139,7 @@ class SloEngine {
   struct Tracker {
     explicit Tracker(const SloObjective& objective);
     SloObjective objective;
-    std::vector<Slot> wheel;
+    TimeWheel<Slot> wheel;
     uint64_t last_epoch = 0;
     // Interned gauges, null without a registry; indexed by SloKind.
     Gauge* burn_fast[kNumKinds] = {nullptr, nullptr};

@@ -2,54 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <ctime>
+
+#include "util/json_text.h"
 
 namespace karl::util {
 
 namespace {
-
-// Escapes a string for a double-quoted context (JSON-compatible, also
-// used for quoted text values) — no raw newlines ever reach the line.
-void AppendEscaped(std::string* out, std::string_view s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", ch);
-          out->append(buffer);
-        } else {
-          out->push_back(ch);
-        }
-    }
-  }
-}
-
-void AppendNumber(std::string* out, double v) {
-  if (!std::isfinite(v)) {
-    out->append("null");
-    return;
-  }
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  out->append(buffer);
-}
 
 // UTC wall-clock timestamp with microseconds, ISO 8601.
 void AppendTimestamp(std::string* out) {
@@ -78,11 +37,11 @@ void AppendFieldValue(std::string* out, const LogField& field, bool ndjson) {
   switch (field.kind) {
     case LogField::Kind::kString:
       out->push_back('"');
-      AppendEscaped(out, field.str);
+      AppendJsonString(out, field.str);
       out->push_back('"');
       break;
     case LogField::Kind::kNumber:
-      AppendNumber(out, field.num);
+      AppendJsonNumber(out, field.num);
       break;
     case LogField::Kind::kUint:
       std::snprintf(buffer, sizeof(buffer), "%llu",
@@ -191,11 +150,11 @@ void Logger::Log(LogLevel level, std::string_view event,
     line += "\",\"level\":\"";
     line += LogLevelName(level);
     line += "\",\"event\":\"";
-    AppendEscaped(&line, event);
+    AppendJsonString(&line, event);
     line += "\"";
     for (const LogField& field : fields) {
       line += ",\"";
-      AppendEscaped(&line, field.key);
+      AppendJsonString(&line, field.key);
       line += "\":";
       AppendFieldValue(&line, field, /*ndjson=*/true);
     }
@@ -207,10 +166,10 @@ void Logger::Log(LogLevel level, std::string_view event,
     for (char& ch : level_name) ch = static_cast<char>(std::toupper(ch));
     line += level_name;
     line.push_back(' ');
-    AppendEscaped(&line, event);
+    AppendJsonString(&line, event);
     for (const LogField& field : fields) {
       line.push_back(' ');
-      AppendEscaped(&line, field.key);
+      AppendJsonString(&line, field.key);
       line.push_back('=');
       AppendFieldValue(&line, field, /*ndjson=*/false);
     }

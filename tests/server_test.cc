@@ -192,10 +192,24 @@ class ServerTest : public ::testing::Test {
 
   // Same, but with caller-supplied observability options.
   void StartServerWith(ServerOptions options) {
+    ServeEngine(*engine_, std::move(options));
+  }
+
+  // Starts a server on an ephemeral port serving `engine` as the only
+  // (and default) model of a fresh registry this fixture owns.
+  void ServeEngine(const Engine& engine, ServerOptions options) {
+    server_.reset();  // It may hold handles into the previous registry.
+    registry::RegistryOptions registry_options;
+    registry_options.default_model = "default";
+    registry_options.metrics = &registry_;
+    auto models = registry::ModelRegistry::Open("", registry_options);
+    ASSERT_TRUE(models.ok()) << models.status().ToString();
+    models_ = std::move(models).ValueOrDie();
+    models_->AdoptEngine("default", &engine);
     options.port = 0;
     options.threads = 2;
     options.metrics = &registry_;
-    auto server = Server::Start(*engine_, options);
+    auto server = Server::StartWithRegistry(models_.get(), std::move(options));
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = std::move(server).ValueOrDie();
   }
@@ -264,6 +278,8 @@ class ServerTest : public ::testing::Test {
   data::Matrix queries_{0, 0};
   std::optional<Engine> engine_;
   telemetry::Registry registry_;
+  // Declared before server_ so it outlives the server's model handles.
+  std::unique_ptr<registry::ModelRegistry> models_;
   std::unique_ptr<Server> server_;
 };
 
@@ -447,13 +463,8 @@ TEST_F(ServerTest, MalformedRequestsAreRejectedWithoutKillingConnection) {
 
 TEST_F(ServerTest, OversizedLineIsRejectedAndConnectionClosed) {
   ServerOptions options;
-  options.port = 0;
-  options.threads = 2;
   options.max_line_bytes = 256;
-  options.metrics = &registry_;
-  auto server = Server::Start(*engine_, options);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  server_ = std::move(server).ValueOrDie();
+  StartServerWith(std::move(options));
 
   Client client = Dial();
   std::string huge(1024, 'x');
@@ -600,13 +611,7 @@ TEST_F(ServerTest, EkaqOnTypeThreeWeightsIsRejectedUpFront) {
   ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
   ASSERT_EQ(mixed.value().weighting_type(), WeightingType::kTypeIII);
 
-  ServerOptions server_options;
-  server_options.port = 0;
-  server_options.threads = 2;
-  server_options.metrics = &registry_;
-  auto server = Server::Start(mixed.value(), server_options);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  server_ = std::move(server).ValueOrDie();
+  ServeEngine(mixed.value(), ServerOptions{});
 
   Client client = Dial();
   auto approx = client.Ekaq(queries_.Row(0), kEps);

@@ -17,6 +17,7 @@
 #include "server/json.h"
 #include "server/slo_config.h"
 #include "telemetry/metrics.h"
+#include "telemetry/rolling.h"
 #include "util/log.h"
 
 namespace karl::telemetry {
@@ -270,6 +271,44 @@ TEST(SloEngineTest, GaugesAppearInPrometheusExposition) {
       << text;
 }
 
+// RollingHistogram and a window_s = 60 SloEngine run on the same
+// TimeWheel policy, so one timestamped stream — idle gaps longer than
+// either ring included — must give them equal window counts at every
+// probe instant.
+TEST(SloEngineTest, WindowCountsAgreeWithRollingHistogram) {
+  SloConfig config = TightConfig();
+  config.default_objective.window_s = 60;
+  SloEngine engine(config, nullptr, nullptr);
+  RollingHistogram rolling;
+  uint64_t now_us = kBaseUs;
+  size_t probes = 0;
+  size_t nonempty = 0;
+  for (uint64_t i = 0; i < 4000; ++i) {
+    // Sub-second steps, a 2-minute idle gap every 700 samples.
+    now_us += i % 700 == 699 ? 120 * kSecond : 1 + (i * 2654435761u) % 400'000;
+    engine.ObserveAt("m", 5.0, /*ok=*/true, now_us);
+    rolling.RecordAt(5.0, now_us);
+    if (i % 10 != 0) continue;
+    const uint64_t probe_us = now_us + (i * 7'919'333u) % (90 * kSecond);
+    const auto sloz = server::Json::Parse(engine.SlozJsonAt(probe_us));
+    ASSERT_TRUE(sloz.ok());
+    const server::Json* latency =
+        sloz.value().Find("models")->Find("m")->Find("latency");
+    const uint64_t window = rolling.WindowSnapshotAt(probe_us).count;
+    const auto count = [latency](const char* key) {
+      return static_cast<uint64_t>(latency->Find(key)->number_value());
+    };
+    EXPECT_EQ(count("fast_total"), window)
+        << "probe at +" << (probe_us - kBaseUs) << "us";
+    EXPECT_EQ(count("window_total"), window);
+    ++probes;
+    if (window > 0) ++nonempty;
+  }
+  EXPECT_EQ(probes, 400u);
+  EXPECT_GT(nonempty, 200u);  // The probes saw traffic, not just gaps.
+  EXPECT_LT(nonempty, probes);
+}
+
 TEST(SloEngineTest, ImpossibleTargetBurnsAtTheCapNotInfinity) {
   Registry registry;
   SloConfig config = TightConfig();
@@ -327,6 +366,7 @@ TEST(SloConfigParseTest, RejectsMalformedDocuments) {
       R"({"default": {"availability_target": 0}})",
       R"({"default": {"window_s": 30}})",
       R"({"default": {"window_s": 600.5}})",
+      R"({"default": {"window_s": 69}})",
       R"({"default": {"fast_burn_threshold": 0}})",
       R"({"default": {"latency_target": "fast"}})",
       R"({"default": []})",

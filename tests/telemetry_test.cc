@@ -18,11 +18,15 @@
 #include <thread>
 #include <vector>
 
+#include "server/json.h"
 #include "telemetry/context.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
 #include "telemetry/rolling.h"
+#include "telemetry/slo.h"
+#include "telemetry/time_wheel.h"
 #include "telemetry/trace.h"
+#include "util/log.h"
 
 namespace karl::telemetry {
 namespace {
@@ -610,7 +614,7 @@ TEST(RollingHistogramTest, RecordLandsInBothViews) {
 
 TEST(RollingHistogramTest, OldRecordsAgeOutOfWindowButNotCumulative) {
   RollingHistogram h;
-  const uint64_t t0 = 1000 * RollingHistogram::kSubWindowUs;
+  const uint64_t t0 = 1000 * kTimeWheelSlotUs;
   h.RecordAt(10.0, t0);
   h.RecordAt(20.0, t0 + 1);
 
@@ -622,7 +626,7 @@ TEST(RollingHistogramTest, OldRecordsAgeOutOfWindowButNotCumulative) {
 
   // One full window later the records are outside the merge horizon.
   const uint64_t later =
-      t0 + RollingHistogram::kMergedSubWindows * RollingHistogram::kSubWindowUs;
+      t0 + RollingHistogram::kMergedSubWindows * kTimeWheelSlotUs;
   window = h.WindowSnapshotAt(later);
   EXPECT_EQ(window.count, 0u);
 
@@ -635,15 +639,15 @@ TEST(RollingHistogramTest, OldRecordsAgeOutOfWindowButNotCumulative) {
 
 TEST(RollingHistogramTest, WindowMergesAdjacentSubWindows) {
   RollingHistogram h;
-  const uint64_t t0 = 50 * RollingHistogram::kSubWindowUs;
+  const uint64_t t0 = 50 * kTimeWheelSlotUs;
   // One sample per sub-window across a full merge horizon.
   for (int i = 0; i < RollingHistogram::kMergedSubWindows; ++i) {
     h.RecordAt(static_cast<double>(i + 1),
-               t0 + static_cast<uint64_t>(i) * RollingHistogram::kSubWindowUs);
+               t0 + static_cast<uint64_t>(i) * kTimeWheelSlotUs);
   }
   const uint64_t end =
       t0 + static_cast<uint64_t>(RollingHistogram::kMergedSubWindows - 1) *
-               RollingHistogram::kSubWindowUs;
+               kTimeWheelSlotUs;
   HistogramSnapshot window = h.WindowSnapshotAt(end);
   EXPECT_EQ(window.count,
             static_cast<uint64_t>(RollingHistogram::kMergedSubWindows));
@@ -651,7 +655,7 @@ TEST(RollingHistogramTest, WindowMergesAdjacentSubWindows) {
   EXPECT_EQ(window.max, 6.0);
 
   // Advance one sub-window: the oldest sample falls out, the rest stay.
-  window = h.WindowSnapshotAt(end + RollingHistogram::kSubWindowUs);
+  window = h.WindowSnapshotAt(end + kTimeWheelSlotUs);
   EXPECT_EQ(window.count,
             static_cast<uint64_t>(RollingHistogram::kMergedSubWindows - 1));
   EXPECT_EQ(window.min, 2.0);
@@ -660,12 +664,14 @@ TEST(RollingHistogramTest, WindowMergesAdjacentSubWindows) {
 
 TEST(RollingHistogramTest, WheelSlotReuseClearsStaleCounts) {
   RollingHistogram h;
-  const uint64_t t0 = 7 * RollingHistogram::kSubWindowUs;
+  const uint64_t t0 = 7 * kTimeWheelSlotUs;
   h.RecordAt(5.0, t0);
-  // kWheelSlots epochs later the same physical slot is recycled; the
-  // stale epoch-7 contents must not leak into the new window.
+  // One ring (window + spare slots) of epochs later the same physical
+  // slot is recycled; the stale epoch-7 contents must not leak into the
+  // new window.
   const uint64_t t1 =
-      t0 + RollingHistogram::kWheelSlots * RollingHistogram::kSubWindowUs;
+      t0 + (RollingHistogram::kMergedSubWindows + kTimeWheelSpareSlots) *
+               kTimeWheelSlotUs;
   h.RecordAt(9.0, t1);
   const HistogramSnapshot window = h.WindowSnapshotAt(t1);
   EXPECT_EQ(window.count, 1u);
@@ -676,11 +682,11 @@ TEST(RollingHistogramTest, WheelSlotReuseClearsStaleCounts) {
 
 TEST(RollingHistogramTest, WindowQuantilesTrackRecentValuesOnly) {
   RollingHistogram h;
-  const uint64_t t0 = 200 * RollingHistogram::kSubWindowUs;
+  const uint64_t t0 = 200 * kTimeWheelSlotUs;
   // An old regime of slow samples...
   for (int i = 0; i < 100; ++i) h.RecordAt(10000.0, t0);
   // ...then, ten sub-windows later, a fast regime.
-  const uint64_t t1 = t0 + 10 * RollingHistogram::kSubWindowUs;
+  const uint64_t t1 = t0 + 10 * kTimeWheelSlotUs;
   for (int i = 0; i < 100; ++i) h.RecordAt(10.0, t1);
 
   const HistogramSnapshot window = h.WindowSnapshotAt(t1);
@@ -705,7 +711,7 @@ TEST(RollingHistogramTest, ConcurrentRecordsKeepCumulativeExact) {
     threads.emplace_back([&h] {
       for (uint64_t e = 0; e < kEpochs; ++e) {
         for (int i = 0; i < kPerEpoch; ++i) {
-          h.RecordAt(3.0, e * RollingHistogram::kSubWindowUs +
+          h.RecordAt(3.0, e * kTimeWheelSlotUs +
                               static_cast<uint64_t>(i));
         }
       }
@@ -715,6 +721,66 @@ TEST(RollingHistogramTest, ConcurrentRecordsKeepCumulativeExact) {
   EXPECT_EQ(h.count(),
             static_cast<uint64_t>(kThreads) * kEpochs * kPerEpoch);
   EXPECT_EQ(h.CumulativeSnapshot().count, h.count());
+}
+
+// A plain counter slot: the smallest thing a TimeWheel can carry.
+struct CountSlot {
+  uint64_t n = 0;
+  void Reset() { n = 0; }
+};
+
+uint64_t WindowSum(const TimeWheel<CountSlot>& wheel, uint64_t now_us,
+                   uint64_t span_slots) {
+  uint64_t sum = 0;
+  wheel.ForEachInWindow(now_us, span_slots,
+                        [&sum](const CountSlot& slot) { sum += slot.n; });
+  return sum;
+}
+
+TEST(TimeWheelTest, WindowHoldsEpochsAfterNowMinusSpanThroughNow) {
+  TimeWheel<CountSlot> wheel(6);
+  EXPECT_EQ(wheel.ring_slots(), 6 + kTimeWheelSpareSlots);
+  const uint64_t e0 = 100;
+  wheel.Current(e0 * kTimeWheelSlotUs + 123).n += 1;
+  // The slot's own epoch is in, wherever `now` falls inside it.
+  EXPECT_EQ(WindowSum(wheel, e0 * kTimeWheelSlotUs, 6), 1u);
+  EXPECT_EQ(WindowSum(wheel, (e0 + 1) * kTimeWheelSlotUs - 1, 1), 1u);
+  // now_epoch - span < e0: still in.
+  EXPECT_EQ(WindowSum(wheel, (e0 + 5) * kTimeWheelSlotUs, 6), 1u);
+  // e0 == now_epoch - span: out.
+  EXPECT_EQ(WindowSum(wheel, (e0 + 6) * kTimeWheelSlotUs, 6), 0u);
+  EXPECT_EQ(WindowSum(wheel, (e0 + 1) * kTimeWheelSlotUs, 1), 0u);
+  // A slot ahead of `now` is not in its window either.
+  EXPECT_EQ(WindowSum(wheel, (e0 - 1) * kTimeWheelSlotUs, 6), 0u);
+}
+
+TEST(TimeWheelTest, SlotIsReusedAfterAFullTurn) {
+  TimeWheel<CountSlot> wheel(6);
+  const uint64_t t0 = 40 * kTimeWheelSlotUs;
+  CountSlot& first = wheel.Current(t0);
+  first.n = 5;
+  EXPECT_EQ(&wheel.Current(t0 + 1), &first);  // Same epoch, no reset.
+  EXPECT_EQ(first.n, 5u);
+  const uint64_t t1 = t0 + wheel.ring_slots() * kTimeWheelSlotUs;
+  CountSlot& again = wheel.Current(t1);
+  EXPECT_EQ(&again, &first);  // One turn later: the same physical slot...
+  EXPECT_EQ(again.n, 0u);     // ...reset for its new epoch.
+  again.n = 1;
+  EXPECT_EQ(WindowSum(wheel, t1, 6), 1u);
+}
+
+TEST(TimeWheelTest, IdleGapLongerThanTheRingLeavesNothingStale) {
+  TimeWheel<CountSlot> wheel(6);
+  const uint64_t e0 = 500;
+  for (uint64_t e = e0; e < e0 + wheel.ring_slots(); ++e) {
+    wheel.Current(e * kTimeWheelSlotUs).n = 1;  // Every slot in use.
+  }
+  const uint64_t later = e0 + 3 * wheel.ring_slots() + 1;
+  EXPECT_EQ(WindowSum(wheel, later * kTimeWheelSlotUs, 6), 0u);
+  wheel.Current(later * kTimeWheelSlotUs).n = 1;
+  EXPECT_EQ(WindowSum(wheel, later * kTimeWheelSlotUs, 6), 1u);
+  wheel.Current((later + 2) * kTimeWheelSlotUs).n = 1;
+  EXPECT_EQ(WindowSum(wheel, (later + 2) * kTimeWheelSlotUs, 6), 2u);
 }
 
 TEST(RegistryTest, RollingHistogramExposition) {
@@ -956,6 +1022,79 @@ TEST(RegistryLabelsTest, ConcurrentLabeledRecordsSurviveSeriesChurn) {
   for (int t = 0; t < kWriters; ++t) {
     EXPECT_EQ(histograms[t]->count(), static_cast<uint64_t>(kRecords));
   }
+}
+
+
+// Every control byte, a quote, a backslash and multi-byte UTF-8: what
+// the shared JSON string escaper must carry through unchanged.
+std::string AwkwardString() {
+  std::string s;
+  for (int c = 0; c < 0x20; ++c) s.push_back(static_cast<char>(c));
+  s += "\"\\ caf\xc3\xa9 \xe2\x82\xac";
+  return s;
+}
+
+server::Json ParseOrDie(const std::string& text) {
+  auto doc = server::Json::Parse(text);
+  EXPECT_TRUE(doc.ok()) << doc.status().ToString() << "\n" << text;
+  return doc.ok() ? std::move(doc).ValueOrDie() : server::Json();
+}
+
+TEST(JsonTextTest, EveryJsonWriterRoundTripsAwkwardStrings) {
+  const std::string awkward = AwkwardString();
+
+  // NDJSON log line: event name, field key and string field value.
+  std::FILE* file = std::tmpfile();
+  ASSERT_NE(file, nullptr);
+  util::Logger::Options log_options;
+  log_options.ndjson = true;
+  {
+    util::Logger logger(file, log_options);
+    logger.Log(util::LogLevel::kInfo, awkward, {{awkward, awkward}});
+  }
+  std::rewind(file);
+  std::string line;
+  for (int ch = std::fgetc(file); ch != EOF && ch != '\n';
+       ch = std::fgetc(file)) {
+    line.push_back(static_cast<char>(ch));
+  }
+  std::fclose(file);
+  const server::Json log_line = ParseOrDie(line);
+  ASSERT_NE(log_line.Find("event"), nullptr) << line;
+  EXPECT_EQ(log_line.Find("event")->string_value(), awkward);
+  ASSERT_NE(log_line.Find(awkward), nullptr) << line;
+  EXPECT_EQ(log_line.Find(awkward)->string_value(), awkward);
+
+  // DumpJson: the label value lands inside the series-name key.
+  Registry registry;
+  const LabelSet labels{{"name", awkward}};
+  registry.GetCounter("karl_awkward_total", labels)->Increment();
+  const server::Json metrics = ParseOrDie(DumpJson(registry));
+  ASSERT_NE(metrics.Find("counters"), nullptr);
+  const server::Json* counter =
+      metrics.Find("counters")->Find("karl_awkward_total" + labels.Render());
+  ASSERT_NE(counter, nullptr) << DumpJson(registry);
+  EXPECT_EQ(counter->number_value(), 1.0);
+
+  // TraceRecorder::ToJson: event name and argument key.
+  TraceRecorder recorder;
+  recorder.InstantEvent(awkward, 1, {{awkward, 2.0}});
+  const server::Json trace = ParseOrDie(recorder.ToJson());
+  ASSERT_NE(trace.Find("traceEvents"), nullptr);
+  ASSERT_EQ(trace.Find("traceEvents")->items().size(), 1u);
+  const server::Json& event = trace.Find("traceEvents")->items()[0];
+  EXPECT_EQ(event.Find("name")->string_value(), awkward);
+  ASSERT_NE(event.Find("args")->Find(awkward), nullptr);
+  EXPECT_EQ(event.Find("args")->Find(awkward)->number_value(), 2.0);
+
+  // SlozJson: the model name keys its block.
+  SloEngine slo(SloConfig{}, nullptr, nullptr);
+  const uint64_t now_us = 1000 * kTimeWheelSlotUs;
+  slo.ObserveAt(awkward, 1.0, /*ok=*/true, now_us);
+  const server::Json sloz = ParseOrDie(slo.SlozJsonAt(now_us));
+  ASSERT_NE(sloz.Find("models"), nullptr);
+  ASSERT_EQ(sloz.Find("models")->members().size(), 1u);
+  EXPECT_EQ(sloz.Find("models")->members()[0].first, awkward);
 }
 
 }  // namespace

@@ -19,6 +19,9 @@ compiler cannot (and clang-tidy does not) check:
   include-guard      header guard must be KARL_<RELPATH>_H_ (path
                      relative to the repo with a leading src/ stripped);
                      #pragma once is banned.
+  json-writer        a "%.17g" or "\\u%04x" format string in src/
+                     outside src/util/json_text.cc — JSON numbers and
+                     string escapes go through util/json_text.h.
 
 Usage:
   karl_lint.py [--report FILE] PATH...     lint C++ files under PATHs
@@ -83,6 +86,11 @@ NOLINT_OK = re.compile(r"NOLINT(NEXTLINE|BEGIN)?\([^)]+\):\s*\S")
 NOLINT_END = re.compile(r"NOLINTEND\b")
 
 TSA_OPTOUT = re.compile(r"KARL_NO_THREAD_SAFETY_ANALYSIS\s*\(\s*(.?)")
+
+# The JSON number format and the control-byte escape format, as C++
+# string literals; only the shared writer may spell them.
+JSON_WRITER_FORMAT = re.compile(r'"%\.17g"|"\\\\u%04x"')
+JSON_WRITER_EXEMPT = {"src/util/json_text.cc"}
 
 GUARD_DIRECTIVE = re.compile(r"^#ifndef\s+(\w+)\s*$")
 PRAGMA_ONCE = re.compile(r"^#\s*pragma\s+once\b")
@@ -185,6 +193,20 @@ def check_tsa_optout_reason(relpath, lines):
                           "not be empty")
 
 
+def check_json_writer(relpath, lines):
+    if not relpath.startswith("src/") or relpath in JSON_WRITER_EXEMPT:
+        return
+    for n, line in enumerate(lines, 1):
+        m = JSON_WRITER_FORMAT.search(line)
+        comment = line.find("//")
+        if m and not 0 <= comment <= m.start():
+            yield Finding(
+                relpath, n, "json-writer",
+                f"{m.group(0)} — write JSON numbers and strings with "
+                "util::AppendJsonNumber / AppendJsonString "
+                "(util/json_text.h)")
+
+
 def check_include_guard(relpath, lines):
     if not relpath.endswith((".h", ".hpp")):
         return
@@ -223,6 +245,7 @@ RULES = (
     check_nolint_reason,
     check_tsa_optout_reason,
     check_include_guard,
+    check_json_writer,
 )
 
 RULE_NAMES = (
@@ -232,6 +255,7 @@ RULE_NAMES = (
     "nolint-reason",
     "tsa-optout-reason",
     "include-guard",
+    "json-writer",
 )
 
 

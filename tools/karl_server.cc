@@ -190,10 +190,10 @@ int main(int argc, char** argv) {
     tracer = std::make_unique<karl::telemetry::TraceRecorder>(1u << 20);
   }
 
-  // Block the lifecycle signals before Start() so every thread the
-  // server spawns inherits the mask; the main thread then collects them
-  // synchronously with sigwait — no async-signal-context restrictions
-  // on what the SIGHUP reload may do.
+  // Block the lifecycle signals before StartWithRegistry() so every
+  // thread the server spawns inherits the mask; the main thread then
+  // collects them synchronously with sigwait — no async-signal-context
+  // restrictions on what the SIGHUP reload may do.
   sigset_t sigs;
   sigemptyset(&sigs);
   sigaddset(&sigs, SIGINT);

@@ -32,3 +32,8 @@ int BadNolint() {
 }
 
 void BadOptOut() KARL_NO_THREAD_SAFETY_ANALYSIS("");  // tsa-optout-reason
+
+void BadJson(char* buffer, double v, char ch) {
+  std::snprintf(buffer, 32, "%.17g", v);     // json-writer
+  std::snprintf(buffer, 8, "\\u%04x", ch);  // json-writer
+}
